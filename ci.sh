@@ -19,6 +19,16 @@ cargo build --release --offline
 echo "== test (workspace) =="
 cargo test --workspace --offline -q
 
+echo "== perf smoke (the benchmark builds against this API surface; four workloads correct) =="
+# perf/ is a frozen, separate workspace that compiles against the public
+# surface of eos-core/-check/-buddy: build it offline and run its tiny
+# populations, so a change that breaks that surface (or a workload's
+# correctness) fails here and not in the benchmark run.
+perf_ok=$(cargo run --release --offline --quiet --manifest-path perf/Cargo.toml -- run --smoke \
+    | grep -c '^{"correct": true, .*"failed": 0,' || true)
+test "$perf_ok" -eq 4 \
+    || { echo "perf --smoke: $perf_ok of 4 workloads correct with 0 failed"; exit 1; }
+
 echo "== bench smoke (compare --quick, BENCH_obs.json) =="
 # One experiment binary end-to-end in quick mode: exercises the store
 # comparison harness and proves the observability snapshot lands in

@@ -23,11 +23,13 @@
 //!   DESIGN.md §14) and traverse it while the pin parks any
 //!   concurrent reclaim; [`Snapshot`] is the explicit, multi-read
 //!   form of the same pin.
-//! * Durable commits funnel through a **group-commit pipeline**: each
-//!   committing thread enqueues its scope; one thread becomes the
-//!   leader, drains the queue, and retires the whole batch with *two*
-//!   volume syncs total (one data barrier, one log force) instead of
-//!   two per transaction. Batch sizes are recorded in the
+//! * Commits run the one commit protocol of DESIGN.md §9
+//!   (`flush_batch`) and, with group commit on, funnel through a
+//!   **group-commit pipeline**: each committing
+//!   thread enqueues its scope; one thread becomes the leader, drains
+//!   the queue, and retires the whole batch with *two* volume syncs
+//!   total (one data barrier, one log force) instead of two per
+//!   transaction. Batch sizes are recorded in the
 //!   `wal.group_commit.batch` histogram. On a striped log
 //!   ([`crate::StripedWal`]) the pipeline runs one **lane per stripe**:
 //!   scopes enqueue on their home stripe's lane, each lane elects its
@@ -48,13 +50,12 @@ use std::time::Instant;
 
 use eos_buddy::FreeBatch;
 use eos_obs::{Counter, Gauge, Histogram, Metrics, PipeKind, PIN_TRACE_BIT};
-use eos_pager::SharedVolume;
 use parking_lot::{LockClass, TrackedCondvar, TrackedMutex, TrackedRwLock};
 
 use crate::error::{Error, Result};
 use crate::locks::{LockMode, RangeLockManager, TxnId};
 use crate::object::LargeObject;
-use crate::store::{ObjectStore, PreparedCommit};
+use crate::store::{commit_barrier, commit_force, ObjectStore, PreparedCommit};
 use crate::striped::StripedWal;
 
 /// A shareable handle to one [`ObjectStore`]. Clone it freely — all
@@ -72,16 +73,12 @@ struct Inner {
     // lock-class: store = store.latch rank = 30 io = allowed
     store: TrackedRwLock<ObjectStore>,
     locks: RangeLockManager,
-    /// The store's volume, retained so the group-commit leader can
-    /// issue its barrier/force syncs without holding the store latch.
-    volume: SharedVolume,
-    /// The store's striped log, retained (shared `Arc`) so Phase C and
-    /// the solo commit force stripes without any store latch — the
-    /// write-preferring `RwLock` would otherwise let a waiting writer
-    /// block the read-latched force and serialize the lanes again.
-    wal: Option<Arc<StripedWal>>,
+    /// The log commits sync ([`ObjectStore::commit_log`]), retained
+    /// (shared `Arc`) so Phases A and C run without any store latch —
+    /// the write-preferring `RwLock` would otherwise let a waiting
+    /// writer block a read-latched force and serialize the lanes again.
+    log: Option<Arc<StripedWal>>,
     group_commit: bool,
-    sync_on_commit: bool,
     // Outermost latch in the hierarchy: a committer takes it before
     // anything else and the leader *drops* it across `flush_batch`
     // (release-then-reacquire), so it never covers I/O or the latch.
@@ -99,10 +96,6 @@ struct Inner {
     // lock-class: mvcc = mvcc.state rank = 35 io = forbidden
     mvcc: TrackedMutex<MvccState>,
     mvcc_obs: MvccObs,
-    /// Mirrors `wal.syncs`: the leader calls `Volume::sync` directly
-    /// (bypassing [`crate::durable::DurableWal::sync`]), so it bumps
-    /// the same counter by hand to keep the metric honest.
-    syncs: Counter,
     group_commits: Counter,
     batch_hist: Histogram,
     /// eos-trace instruments for the commit pipeline (DESIGN.md §16).
@@ -221,13 +214,12 @@ impl ConcurrentStore {
         Self::with_group_commit(store, true)
     }
 
-    /// Wrap `store`, choosing whether durable commits batch through
-    /// the group-commit pipeline (`true`) or each pay their own pair
-    /// of syncs under the write latch (`false`).
+    /// Wrap `store`, choosing whether commits queue on a group-commit
+    /// lane and share a leader's pair of syncs (`true`) or each flush
+    /// their own batch of one on the committing thread (`false`). The
+    /// protocol is the same either way.
     pub fn with_group_commit(store: ObjectStore, group_commit: bool) -> ConcurrentStore {
         let obs: Metrics = store.metrics().clone();
-        let volume = store.volume().clone();
-        let sync_on_commit = store.config().sync_on_commit;
         let locks = RangeLockManager::new();
         locks.set_metrics(&obs);
         // Seed the committed root set from the durable log's committed
@@ -247,16 +239,14 @@ impl ConcurrentStore {
                     .collect()
             })
             .unwrap_or_default();
-        let wal = store.wal_handle();
-        let lanes = wal.as_ref().map_or(1, |w| w.num_stripes());
+        let log = store.commit_log();
+        let lanes = store.durable_wal().map_or(1, StripedWal::num_stripes);
         ConcurrentStore {
             inner: Arc::new(Inner {
                 store: TrackedRwLock::new(LockClass::allows_io("store.latch"), store),
                 locks,
-                volume,
-                wal,
+                log,
                 group_commit,
-                sync_on_commit,
                 group: (0..lanes)
                     .map(|_| {
                         TrackedMutex::new(
@@ -282,7 +272,6 @@ impl ConcurrentStore {
                     deferred_pages: obs.gauge("mvcc.deferred_pages"),
                     oldest_epoch_lag: obs.gauge("mvcc.oldest_epoch_lag"),
                 },
-                syncs: obs.counter("wal.syncs"),
                 group_commits: obs.counter("wal.group_commits"),
                 batch_hist: obs.histogram("wal.group_commit.batch"),
                 cobs: CommitObs {
@@ -504,63 +493,16 @@ impl ConcurrentStore {
 
     // ---- the commit pipeline ---------------------------------------------
 
+    /// Commit one scope: queue it on its group-commit lane, or — with
+    /// group commit off — flush it as a batch of one on this thread.
     fn commit_scope(&self, id: TxnId) -> Result<()> {
         if self.inner.group_commit {
-            self.commit_grouped(id)
-        } else {
-            self.commit_solo(id)
+            return self.commit_grouped(id);
         }
-    }
-
-    /// The non-grouped durable commit, with MVCC publication: the same
-    /// barrier/append/force sequence as [`ObjectStore::commit_scope`],
-    /// but with both syncs issued **outside the store latch** — the
-    /// data barrier before the append, the log force holding only the
-    /// touched stripes' latches after it — so solo committers on
-    /// disjoint stripes overlap their I/O. Then root publication and
-    /// the deferred frees (parked if a reader epoch is pinned).
-    fn commit_solo(&self, id: TxnId) -> Result<()> {
-        let inner = &*self.inner;
-        // Data barrier: shadowed pages and undo images must be on disk
-        // before the commit record that publishes them.
-        if inner.sync_on_commit && inner.wal.is_some() {
-            let dirty = inner.store.read().scope_dirty(id);
-            if dirty {
-                // durability: seals(shadow-data)
-                if let Err(e) = inner.volume.sync() {
-                    let _ = inner.store.write().abort_scope(id);
-                    return Err(Error::CommitFailed {
-                        reason: format!("data barrier failed: {}", Error::from(e)),
-                    });
-                }
-                inner.syncs.inc();
-            }
-        }
-        // Append the commit record under the write latch, no force.
-        let prep = {
-            let mut st = inner.store.write();
-            // durability: mutates(commit-frame)
-            st.prepare_commit(id, false)?
-        };
-        // The log force: the commit record is durable past here.
-        if prep.appended && inner.sync_on_commit {
-            if let Some(wal) = &inner.wal {
-                // durability: seals(commit-frame)
-                if let Err(e) = wal.sync_stripes(&prep.stripes) {
-                    // Durability unknown: drop the scope's deferred
-                    // frees from the buddy registry *without* freeing
-                    // (leaked pages are recoverable by restart;
-                    // freeing pages a possibly-durable commit still
-                    // references is not), then fail the commit.
-                    inner.store.write().buddy().abort_frees(prep.batch);
-                    return Err(Error::CommitFailed {
-                        reason: format!("log force failed: {e}"),
-                    });
-                }
-            }
-        }
-        let mut st = inner.store.write();
-        self.publish_commit(&mut st, &prep)
+        let batch_id = self.inner.batch_seq.fetch_add(1, Ordering::Relaxed) + 1;
+        self.flush_batch(&[id], batch_id, id)
+            .pop()
+            .map_or(Err(Error::StaleTransaction), |(_, res)| res)
     }
 
     /// Group commit: enqueue the scope, then either wait for a leader
@@ -630,9 +572,10 @@ impl ConcurrentStore {
         }
     }
 
-    /// Retire one batch of prepared scopes with two volume syncs
-    /// total. Called with the group mutex *released*; takes the store
-    /// latch only for the in-memory phases.
+    /// Retire one batch of scopes — the commit protocol of DESIGN.md
+    /// §9, once, for the whole batch: two volume syncs total. Called
+    /// with the group mutex *released*; takes the store latch only for
+    /// the in-memory phases and drops it around both syncs.
     ///
     /// The leader stamps Phase A–D begin/end events with *shared
     /// boundary timestamps* (phase N's end instant is phase N+1's
@@ -645,42 +588,44 @@ impl ConcurrentStore {
         inner.group_commits.inc();
         inner.batch_hist.record(batch.len() as u64);
         let m = &inner.cobs.metrics;
+        let log = inner.log.as_deref();
         let t0 = m.now_ns();
 
         // Phase A — one data barrier for the whole batch, outside the
         // latch: shadowed pages and undo images of *every* scope in
         // the batch must be on disk before any commit record.
-        if inner.sync_on_commit {
-            let dirty = {
-                let st = inner.store.read();
-                batch.iter().any(|&t| st.scope_dirty(t))
+        let dirty = log.is_some() && {
+            let st = inner.store.read();
+            batch.iter().any(|&t| st.scope_dirty(t))
+        };
+        if let Err(e) = commit_barrier(log, dirty) {
+            // Nothing was logged: roll every scope back.
+            let out = {
+                let mut st = inner.store.write();
+                batch
+                    .iter()
+                    .map(|&t| (t, Err(st.commit_barrier_failed(t, &e))))
+                    .collect()
             };
-            if dirty {
-                // durability: seals(shadow-data)
-                if let Err(e) = inner.volume.sync() {
-                    return self.fail_batch(batch, &Error::from(e).to_string());
-                }
-                inner.syncs.inc();
-            }
+            let _ = m.flight_dump("commit_failed");
+            return out;
         }
         let t1 = m.now_ns();
 
         // Phase B — append each scope's commit record under the write
         // latch, without forcing the log.
-        let mut prepared = Vec::with_capacity(batch.len());
-        let mut appended_any = false;
-        {
+        let prepared: Vec<(TxnId, Result<PreparedCommit>)> = {
             let mut st = inner.store.write();
-            for &t in batch {
-                // durability: mutates(commit-frame)
-                let r = st.prepare_commit(t, false);
-                if matches!(&r, Ok(p) if p.appended) {
-                    appended_any = true;
-                }
-                m.pipe_event(PipeKind::Instant, "commit.prepare", t, batch_id);
-                prepared.push((t, r));
-            }
-        }
+            batch
+                .iter()
+                .map(|&t| {
+                    // durability: mutates(commit-frame)
+                    let r = st.prepare_commit(t);
+                    m.pipe_event(PipeKind::Instant, "commit.prepare", t, batch_id);
+                    (t, r)
+                })
+                .collect()
+        };
         let t2 = m.now_ns();
 
         // Phase C — one log force covers every commit record appended
@@ -689,67 +634,27 @@ impl ConcurrentStore {
         // On a striped log the force holds only the latches of the
         // stripes this batch actually landed on — and *no store latch*
         // — so lanes flushing disjoint stripes force in parallel.
-        let mut force_err: Option<String> = None;
-        if appended_any && inner.sync_on_commit {
-            let force: Result<()> = match &inner.wal {
-                Some(w) => {
-                    let mut stripes: Vec<usize> = prepared
-                        .iter()
-                        .filter_map(|(_, r)| r.as_ref().ok())
-                        .flat_map(|p| p.stripes.iter().copied())
-                        .collect();
-                    stripes.sort_unstable();
-                    stripes.dedup();
-                    // durability: seals(commit-frame)
-                    w.sync_stripes(&stripes)
-                }
-                None => {
-                    // durability: seals(commit-frame)
-                    match inner.volume.sync() {
-                        Ok(()) => {
-                            inner.syncs.inc();
-                            Ok(())
-                        }
-                        Err(e) => Err(Error::from(e)),
-                    }
-                }
-            };
-            if let Err(e) = force {
-                force_err = Some(e.to_string());
-            }
-        }
+        let force = commit_force(log, prepared.iter().filter_map(|(_, r)| r.as_ref().ok()));
         let t3 = m.now_ns();
 
         // Phase D — publish each scope's new roots to readers and
         // apply (or park, behind pinned reader epochs) its deferred
         // frees, under the latch.
-        let mut out = Vec::with_capacity(prepared.len());
-        {
+        let out = {
             let mut st = inner.store.write();
-            for (t, r) in prepared {
-                let res = match r {
-                    // `prepare_commit` already rolled the scope back.
-                    Err(e) => Err(e),
-                    Ok(prep) => match &force_err {
-                        // The force failed after the records were written:
-                        // durability is unknown, so surface an error and
-                        // drop the frees — out of the buddy registry too,
-                        // or the batch entry would pin `pending_extents`
-                        // forever (leaking the *pages* is recoverable by
-                        // restart; freeing pages a possibly-durable
-                        // commit still references is not).
-                        Some(msg) => {
-                            st.buddy().abort_frees(prep.batch);
-                            Err(Error::CommitFailed {
-                                reason: format!("group log force failed: {msg}"),
-                            })
-                        }
-                        None => self.publish_commit(&mut st, &prep),
-                    },
-                };
-                out.push((t, res));
-            }
-        }
+            prepared
+                .into_iter()
+                .map(|(t, r)| {
+                    // An `Err` here: `prepare_commit` already rolled
+                    // the scope back.
+                    let res = r.and_then(|prep| match &force {
+                        Ok(()) => self.publish_commit(&mut st, &prep),
+                        Err(e) => Err(st.commit_force_failed(prep.batch, e)),
+                    });
+                    (t, res)
+                })
+                .collect()
+        };
         let t4 = m.now_ns();
 
         // Emit the batch timeline: an enclosing `commit` span plus the
@@ -769,33 +674,11 @@ impl ConcurrentStore {
         }
         m.pipe_event_at(t4, PipeKind::End, "commit", lead, batch_id);
 
-        if force_err.is_some() {
+        if force.is_err() {
             // The batch is being failed with durability unknown — the
             // exact situation the flight recorder exists for.
             let _ = m.flight_dump("commit_failed");
         }
-        out
-    }
-
-    /// Data barrier failed before anything was logged: roll every
-    /// scope in the batch back and report the failure to each waiter.
-    fn fail_batch(&self, batch: &[TxnId], msg: &str) -> Vec<(TxnId, Result<()>)> {
-        let out: Vec<(TxnId, Result<()>)> = {
-            let mut st = self.inner.store.write();
-            batch
-                .iter()
-                .map(|&t| {
-                    let _ = st.abort_scope(t);
-                    (
-                        t,
-                        Err(Error::CommitFailed {
-                            reason: format!("group data barrier failed: {msg}"),
-                        }),
-                    )
-                })
-                .collect()
-        };
-        let _ = self.inner.cobs.metrics.flight_dump("commit_failed");
         out
     }
 }

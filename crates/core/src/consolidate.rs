@@ -92,18 +92,10 @@ impl ObjectStore {
     /// threshold ("for more static objects … the larger the segment
     /// size the better the overall performance", §4.4).
     pub fn consolidate(&mut self, obj: &mut crate::LargeObject) -> Result<ConsolidateStats> {
-        if self.durable_wal().is_some() {
-            return self.with_autocommit(|s| {
-                let stats = s.consolidate_inner(obj)?;
-                s.log_touch(obj)?;
-                Ok(stats)
-            });
-        }
-        self.consolidate_inner(obj)
+        self.shadowed(obj, Self::consolidate_inner)
     }
 
     fn consolidate_inner(&mut self, obj: &mut crate::LargeObject) -> Result<ConsolidateStats> {
-        let cap = self.node_cap();
         let t = self.effective_threshold(obj, 0).max(2);
         let mut total = ConsolidateStats::default();
         let mut root = obj.root.clone();
@@ -112,8 +104,6 @@ impl ObjectStore {
             obj.root = root;
             crate::tree::normalize_root(self, obj)?;
         }
-        let _ = cap;
-        self.paranoid_check(obj)?;
         Ok(total)
     }
 

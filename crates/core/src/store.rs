@@ -79,17 +79,51 @@ pub struct PreparedCommit {
     /// The scope's deferred-free batch, to apply once the commit
     /// record is durable (or to park behind pinned reader epochs).
     pub batch: FreeBatch,
-    /// Whether a commit record was appended at all (read-only scopes
-    /// skip the log entirely).
-    pub appended: bool,
     /// Serialized root descriptor of every object the scope touched.
     pub touched: BTreeMap<u64, Vec<u8>>,
     /// Objects the scope deleted (tombstones in the commit record).
     pub deleted: Vec<u64>,
     /// The WAL stripes carrying a part of the commit record — the set
-    /// whose force ([`StripedWal::sync_stripes`]) makes it durable.
-    /// Empty when nothing was appended.
+    /// `commit_force` must force to make it durable. Empty when
+    /// nothing was appended (volatile store, read-only scope).
     pub stripes: Vec<usize>,
+}
+
+// ---- the commit protocol's two syncs (§4.5, DESIGN.md §9) ----------------
+//
+// Stages A and C are free functions over the log handle
+// ([`ObjectStore::commit_log`]) rather than store methods, so the
+// concurrent front-end can issue them with its store latch dropped.
+
+/// Stage A — the data-before-log barrier: when any scope about to
+/// commit is dirty ([`ObjectStore::scope_dirty`]), sync the volume so
+/// its shadowed pages and undo images are on disk before the commit
+/// record that publishes them.
+pub(crate) fn commit_barrier(log: Option<&StripedWal>, dirty: bool) -> Result<()> {
+    match log {
+        // durability: seals(shadow-data)
+        Some(log) if dirty => log.data_barrier(),
+        _ => Ok(()),
+    }
+}
+
+/// Stage C — the log force: one force of every stripe carrying a part
+/// of any of `prepared`'s commit records. The records are durable past
+/// here; on `Err` their durability is unknown and each commit must go
+/// through [`ObjectStore::commit_force_failed`].
+pub(crate) fn commit_force<'a>(
+    log: Option<&StripedWal>,
+    prepared: impl IntoIterator<Item = &'a PreparedCommit>,
+) -> Result<()> {
+    let Some(log) = log else { return Ok(()) };
+    let mut stripes: Vec<usize> = prepared
+        .into_iter()
+        .flat_map(|p| p.stripes.iter().copied())
+        .collect();
+    stripes.sort_unstable();
+    stripes.dedup();
+    // durability: seals(commit-frame)
+    log.sync_stripes(&stripes)
 }
 
 impl ObjectStore {
@@ -232,11 +266,12 @@ impl ObjectStore {
         self.wal.as_deref()
     }
 
-    /// A shareable handle on the on-disk log: the concurrent front-end
-    /// caches it so commit forces ([`StripedWal::sync_stripes`]) run
-    /// without any store latch held.
-    pub(crate) fn wal_handle(&self) -> Option<Arc<StripedWal>> {
-        self.wal.clone()
+    /// The log whose syncs a commit must wait for ([`commit_barrier`],
+    /// [`commit_force`]): `None` on a volatile store or with
+    /// [`StoreConfig::sync_on_commit`] off. A shared handle, so the
+    /// concurrent front-end syncs without holding the store latch.
+    pub(crate) fn commit_log(&self) -> Option<Arc<StripedWal>> {
+        self.wal.clone().filter(|_| self.config.sync_on_commit)
     }
 
     /// Cumulative volume I/O counters.
@@ -437,131 +472,105 @@ impl ObjectStore {
         self.txns.get_mut(&id)
     }
 
-    /// Commit the open scope: apply every deferred free. On a durable
-    /// store the **commit point** comes first — the volume is synced so
-    /// every shadowed page the scope wrote is durable (the
-    /// data-before-log barrier: the commit record must never point at
-    /// pages the OS could still be holding back), then a
-    /// [`WalEntry::Commit`] record carrying the new root of every
-    /// touched object is appended to the on-disk log and forced to
-    /// stable storage; only then are the deferred frees applied. Both
-    /// barriers are gated on [`StoreConfig::sync_on_commit`]. A crash
-    /// on either side of that append recovers cleanly: before it, the
-    /// transaction never happened; after it, restart recovery rebuilds
-    /// the allocator state from the committed roots.
-    /// On a non-durable store the caller makes the new descriptor
+    /// Commit the open scope through [`Self::commit_scope`] — the
+    /// commit protocol of DESIGN.md §9. On a non-durable store that is
+    /// just the deferred frees: the caller makes the new descriptor
     /// durable (that write is the commit point, since the root is
     /// client-placed).
     ///
-    /// If the commit append itself fails the scope is rolled back
-    /// cleanly — before-images restored, allocations returned, deferred
-    /// frees dropped, an Abort record closing the scope in the log —
-    /// and the error returned; the volume stays structurally clean (the
-    /// log-full-during-commit tests drive this path).
+    /// A failed commit never leaves the store half-applied: if the
+    /// barrier or the commit append fails the scope is rolled back
+    /// cleanly (the log-full-during-commit tests drive this path); if
+    /// the log force fails the frees are dropped un-applied. Either way
+    /// the error is returned and the volume stays structurally clean.
+    /// With no scope open this is [`Error::StaleTransaction`].
     pub fn commit_txn(&mut self) -> Result<()> {
         // Commit I/O (log frames, the data-before-log syncs, the
         // deferred frees) is attributed to `wal.commit`, not to the
         // operation that happened to trigger an autocommit — span
         // nesting subtracts it from the enclosing op automatically.
         let _span = self.obs.span(OpKind::WalCommit, &self.volume);
-        let id = self.active.take().expect("no open transaction");
+        let id = self.active.take().ok_or(Error::StaleTransaction)?;
         self.commit_scope(id)
     }
 
-    /// Commit one scope end to end: the data-before-log barrier, the
-    /// commit-record append, the log force, then the deferred frees.
-    /// The group-commit leader instead calls the three phases
-    /// ([`Self::prepare_commit`], its own single log force,
-    /// [`Self::apply_commit`]) so one fsync covers a whole batch.
+    /// Commit one scope — the four stages of the commit protocol
+    /// (DESIGN.md §9), in a row: the data-before-log barrier
+    /// (`commit_barrier`), the commit-record append
+    /// ([`Self::prepare_commit`]), the log force (`commit_force`),
+    /// then the deferred frees ([`Self::apply_commit`]). Both syncs are
+    /// gated on [`StoreConfig::sync_on_commit`]. A crash on either side
+    /// of the append recovers cleanly: before it, the transaction never
+    /// happened; after it, restart recovery rebuilds the allocator
+    /// state from the committed roots. The concurrent front-end runs
+    /// the same four stages over a whole batch of scopes, with its
+    /// latch dropped around the two syncs.
     pub fn commit_scope(&mut self, id: TxnId) -> Result<()> {
-        let prep = self.prepare_commit(id, true)?;
-        if prep.appended && self.config.sync_on_commit {
-            if let Some(wal) = &self.wal {
-                // The log force — only the stripes carrying a part of
-                // this commit record: the record is durable past here.
-                // durability: seals(commit-frame)
-                wal.sync_stripes(&prep.stripes)?;
-            }
+        let log = self.commit_log();
+        let dirty = log.is_some() && self.scope_dirty(id);
+        if let Err(e) = commit_barrier(log.as_deref(), dirty) {
+            return Err(self.commit_barrier_failed(id, &e));
         }
-        self.apply_commit(prep.batch)
+        let prep = self.prepare_commit(id)?;
+        match commit_force(log.as_deref(), [&prep]) {
+            Ok(()) => self.apply_commit(prep.batch),
+            Err(e) => Err(self.commit_force_failed(prep.batch, &e)),
+        }
     }
 
-    /// Phase 1 of a commit: close the scope's book-keeping and append
-    /// (without forcing) its [`WalEntry::Commit`] record. Returns the
+    /// Stage B of a commit: close the scope's book-keeping and append
+    /// (without forcing) its [`WalEntry::Commit`] record, carrying the
+    /// new root of every touched object. Returns the
     /// [`PreparedCommit`] the caller finishes with: the deferred-free
-    /// batch to apply once the record is durable, whether a record was
-    /// appended at all (read-only scopes skip the log entirely), and
-    /// the touched-root/tombstone sets the MVCC front-end publishes to
-    /// lock-free readers. With `data_barrier` the volume is synced
-    /// before the append, so the record never points at shadowed pages
-    /// the OS could still be holding back; the group-commit leader
-    /// passes `false` after issuing one barrier for the whole batch.
+    /// batch to apply once the record is durable, the stripes to force,
+    /// and the touched-root/tombstone sets the MVCC front-end publishes
+    /// to lock-free readers. Read-only scopes, and every scope of a
+    /// volatile store, skip the log entirely.
     ///
     /// On any error (most importantly [`Error::LogFull`]) the scope is
     /// **fully aborted** — before-images restored, allocations
     /// returned, deferred frees dropped, an Abort record appended —
     /// so a failed commit can never leave the store half-applied.
-    pub fn prepare_commit(&mut self, id: TxnId, data_barrier: bool) -> Result<PreparedCommit> {
+    // durability: requires(shadow-data)
+    pub fn prepare_commit(&mut self, id: TxnId) -> Result<PreparedCommit> {
         let txn = self.txns.remove(&id).ok_or(Error::StaleTransaction)?;
         if self.active == Some(id) {
             self.active = None;
         }
-        let batch = txn.batch;
-        let Some(wal) = self.wal.clone() else {
-            return Ok(PreparedCommit {
-                batch,
-                appended: false,
-                touched: txn.touched,
-                deleted: txn.deleted,
-                stripes: Vec::new(),
-            });
-        };
-        let worth_logging =
-            !txn.touched.is_empty() || !txn.deleted.is_empty() || wal.has_pending_for(id);
-        if !worth_logging {
-            return Ok(PreparedCommit {
-                batch,
-                appended: false,
-                touched: txn.touched,
-                deleted: txn.deleted,
-                stripes: Vec::new(),
-            });
-        }
-        // A fresh LSN for the commit point itself: strictly ordered
-        // across scopes, so recovery's cross-stripe merge has a global
-        // tiebreak.
-        let lsn = wal.allocate_lsn();
-        let touched: Vec<(u64, Vec<u8>)> =
-            txn.touched.iter().map(|(k, v)| (*k, v.clone())).collect();
-        let sync = data_barrier && self.config.sync_on_commit;
-        // Data-before-log: shadowed pages must be on disk before the
-        // commit record that publishes them.
-        // durability: seals(shadow-data)
-        let barrier = if sync { wal.sync() } else { Ok(()) };
-        let appended = barrier.and_then(|()| {
-            // durability: mutates(commit-frame)
-            wal.append_commit(id, lsn, touched, txn.deleted.clone())
+        let wal = self.wal.clone().filter(|wal| {
+            !txn.touched.is_empty() || !txn.deleted.is_empty() || wal.has_pending_for(id)
         });
-        match appended {
-            Err(e) => {
-                // Clean abort: put the scope back so abort_scope finds
-                // its allocations and deferred frees, then roll
-                // everything back.
-                self.txns.insert(id, txn);
-                let _ = self.abort_scope(id);
-                Err(e)
+        let stripes = match wal {
+            None => Vec::new(),
+            Some(wal) => {
+                // A fresh LSN for the commit point itself: strictly
+                // ordered across scopes, so recovery's cross-stripe
+                // merge has a global tiebreak.
+                let lsn = wal.allocate_lsn();
+                let touched = txn.touched.iter().map(|(k, v)| (*k, v.clone())).collect();
+                // durability: mutates(commit-frame)
+                match wal.append_commit(id, lsn, touched, txn.deleted.clone()) {
+                    Ok(stripes) => stripes,
+                    Err(e) => {
+                        // Clean abort: put the scope back so abort_scope
+                        // finds its allocations and deferred frees, then
+                        // roll everything back.
+                        self.txns.insert(id, txn);
+                        let _ = self.abort_scope(id);
+                        return Err(e);
+                    }
+                }
             }
-            Ok(stripes) => Ok(PreparedCommit {
-                batch,
-                appended: true,
-                touched: txn.touched,
-                deleted: txn.deleted,
-                stripes,
-            }),
-        }
+        };
+        Ok(PreparedCommit {
+            batch: txn.batch,
+            touched: txn.touched,
+            deleted: txn.deleted,
+            stripes,
+        })
     }
 
-    /// Phase 3 of a commit: apply the deferred frees. Only called once
+    /// Stage D of a commit: apply the deferred frees. Only called once
     /// the commit record is durable (or was never needed).
     // durability: requires(commit-frame)
     pub fn apply_commit(&mut self, batch: FreeBatch) -> Result<()> {
@@ -571,6 +580,28 @@ impl ObjectStore {
         // durability: mutates(mvcc-publish)
         self.buddy.commit_frees(batch)?;
         Ok(())
+    }
+
+    /// The stage-A barrier failed, before anything was logged: roll the
+    /// scope back and hand out the error its committer gets.
+    pub(crate) fn commit_barrier_failed(&mut self, id: TxnId, cause: &Error) -> Error {
+        let _ = self.abort_scope(id);
+        Error::CommitFailed {
+            reason: format!("data barrier failed: {cause}"),
+        }
+    }
+
+    /// The stage-C force failed after the commit record was written:
+    /// durability is unknown. Drop the scope's deferred frees from the
+    /// buddy registry *without* freeing — left there the batch would
+    /// pin `pending_extents` forever; leaked pages are recoverable by
+    /// restart, freeing pages a possibly-durable commit still
+    /// references is not — and hand out the error its committer gets.
+    pub(crate) fn commit_force_failed(&self, batch: FreeBatch, cause: &Error) -> Error {
+        self.buddy.abort_frees(batch);
+        Error::CommitFailed {
+            reason: format!("log force failed: {cause}"),
+        }
     }
 
     /// Abort the open scope: drop the deferred frees (the logical frees
@@ -583,9 +614,10 @@ impl ObjectStore {
     /// Abort frame could persist ahead of the restores, and recovery
     /// (trusting the Abort) would skip the undo. If the abort itself is
     /// interrupted before the record lands, restart recovery simply
-    /// rolls the scope back again.
+    /// rolls the scope back again. With no scope open this is
+    /// [`Error::StaleTransaction`].
     pub fn abort_txn(&mut self) -> Result<()> {
-        let id = self.active.take().expect("no open transaction");
+        let id = self.active.take().ok_or(Error::StaleTransaction)?;
         self.abort_scope(id)
     }
 
@@ -604,9 +636,7 @@ impl ObjectStore {
                 .iter()
                 .any(|e| matches!(e, WalEntry::Op { page_images, .. } if !page_images.is_empty()))
         });
-        if self.wal.is_some() {
-            self.rollback_scope_images(id)?;
-        }
+        self.rollback_scope_images(id)?;
         self.buddy.abort_frees(txn.batch);
         for e in txn.allocs {
             self.buddy.free(e.start, e.pages)?;
@@ -636,18 +666,18 @@ impl ObjectStore {
     /// priori, it is provided as a hint", §4.1).
     pub fn create_with(&mut self, data: &[u8], size_hint: Option<u64>) -> Result<LargeObject> {
         let _span = self.obs.span(OpKind::Create, &self.volume);
-        if self.wal.is_some() {
-            return self.logged_create_with(data, size_hint);
-        }
         let mut obj = self.create_object();
-        if !data.is_empty() || size_hint.is_some() {
-            // The internal session (not `open_append`, which would open
-            // a nested Append span and claim the I/O): creation cost
-            // belongs to `create`.
-            let mut s = ops::append::AppendSession::open(self, &mut obj, size_hint)?;
-            s.append(data)?;
-            s.close()?;
-        }
+        self.shadowed(&mut obj, |s, obj| {
+            if !data.is_empty() || size_hint.is_some() {
+                // The internal session (not `open_append`, which would
+                // open a nested Append span and claim the I/O):
+                // creation cost belongs to `create`.
+                let mut session = ops::append::AppendSession::open(s, obj, size_hint)?;
+                session.append(data)?;
+                session.close()?;
+            }
+            Ok(())
+        })?;
         Ok(obj)
     }
 
@@ -710,23 +740,18 @@ impl ObjectStore {
     ) -> Result<()> {
         let _span = self.obs.span(OpKind::Replace, &self.volume);
         self.set_affinity_for(obj.id());
-        if self.wal.is_some() {
-            return self.logged_replace_shadow(obj, offset, data);
-        }
-        ops::replace::run_shadow(self, obj, offset, data)?;
-        self.paranoid_check(obj)
+        self.shadowed(obj, |s, obj| ops::replace::run_shadow(s, obj, offset, data))
     }
 
     /// Append bytes at the end of the object (§4.1).
     pub fn append(&mut self, obj: &mut LargeObject, data: &[u8]) -> Result<()> {
         let _span = self.obs.span(OpKind::Append, &self.volume);
         self.set_affinity_for(obj.id());
-        if self.wal.is_some() {
-            return self.logged_append(obj, data);
-        }
-        let mut s = ops::append::AppendSession::open(self, obj, None)?;
-        s.append(data)?;
-        s.close()
+        self.shadowed(obj, |s, obj| {
+            let mut session = ops::append::AppendSession::open(s, obj, None)?;
+            session.append(data)?;
+            session.close()
+        })
     }
 
     /// Open a multi-append session (§4.1). While the session is open,
@@ -753,11 +778,7 @@ impl ObjectStore {
     pub fn insert(&mut self, obj: &mut LargeObject, offset: u64, data: &[u8]) -> Result<()> {
         let _span = self.obs.span(OpKind::Insert, &self.volume);
         self.set_affinity_for(obj.id());
-        if self.wal.is_some() {
-            return self.logged_insert(obj, offset, data);
-        }
-        ops::insert::run(self, obj, offset, data)?;
-        self.paranoid_check(obj)
+        self.shadowed(obj, |s, obj| ops::insert::run(s, obj, offset, data))
     }
 
     /// Delete `len` bytes starting at `offset`, shifting the tail left
@@ -765,11 +786,7 @@ impl ObjectStore {
     pub fn delete(&mut self, obj: &mut LargeObject, offset: u64, len: u64) -> Result<()> {
         let _span = self.obs.span(OpKind::Delete, &self.volume);
         self.set_affinity_for(obj.id());
-        if self.wal.is_some() {
-            return self.logged_delete(obj, offset, len);
-        }
-        ops::delete::run(self, obj, offset, len)?;
-        self.paranoid_check(obj)
+        self.shadowed(obj, |s, obj| ops::delete::run(s, obj, offset, len))
     }
 
     /// Truncate the object to `new_size` bytes — the special case of
@@ -788,11 +805,9 @@ impl ObjectStore {
         if new_size == size {
             return Ok(());
         }
-        if self.wal.is_some() {
-            return self.logged_delete(obj, new_size, size - new_size);
-        }
-        ops::delete::run(self, obj, new_size, size - new_size)?;
-        self.paranoid_check(obj)
+        self.shadowed(obj, |s, obj| {
+            ops::delete::run(s, obj, new_size, size - new_size)
+        })
     }
 
     /// Walk the whole tree and return structural statistics

@@ -1,21 +1,23 @@
-//! The logged (durable-store) variants of the §4 operations.
+//! The durable store is the volatile store plus a log.
 //!
 //! On a store with an attached [`crate::StripedWal`] every mutating operation
 //! runs inside a transaction scope — the caller's own, or an implicit
 //! per-operation scope ([`ObjectStore::with_autocommit`]) — and leaves
-//! a trail in the on-disk log:
+//! a trail in the on-disk log; on a volatile store the same code runs
+//! with both of those switched off.
 //!
 //! * **`replace`** follows the WAL rule: it writes leaf pages in place,
 //!   so the before-images of every page it will touch are made durable
 //!   *first* ([`WalEntry::Op`]), then the pages are overwritten. A
 //!   crash mid-replace is rolled back byte-exactly from the images.
-//! * **Everything else** (append, insert, delete, truncate, compaction)
-//!   is *shadowed* (§4.5): it writes only freshly allocated pages and
-//!   defers its frees, so the committed image on disk stays intact and
-//!   nothing needs undoing. These log a [`WalEntry::Touch`] after the
-//!   fact, purely to stamp the LSN and feed the eventual commit record
-//!   — the log stays small no matter how many bytes the operation
-//!   moved.
+//! * **Everything else** (append, insert, delete, truncate, shadowed
+//!   replace, consolidation, compaction) is *shadowed* (§4.5) and goes
+//!   through the one [`ObjectStore::shadowed`] wrapper: it writes only
+//!   freshly allocated pages and defers its frees, so the committed
+//!   image on disk stays intact and nothing needs undoing. These log a
+//!   [`WalEntry::Touch`] after the fact, purely to stamp the LSN and
+//!   feed the eventual commit record — the log stays small no matter
+//!   how many bytes the operation moved.
 //!
 //! The commit record ([`WalEntry::Commit`], written by
 //! [`ObjectStore::commit_txn`]) then carries the new serialized root of
@@ -62,6 +64,26 @@ impl ObjectStore {
                 Err(e)
             }
         }
+    }
+
+    /// Run one shadowed (§4.5) operation on `obj`: inside the caller's
+    /// scope or an autocommit one, followed on a durable store by the
+    /// [`WalEntry::Touch`] that is its whole log trail (it never
+    /// overwrites committed pages, so it needs no before-images and no
+    /// mid-operation force), then the paranoid re-check.
+    pub(crate) fn shadowed<T>(
+        &mut self,
+        obj: &mut LargeObject,
+        op: impl FnOnce(&mut Self, &mut LargeObject) -> Result<T>,
+    ) -> Result<T> {
+        self.with_autocommit(|s| {
+            let out = op(s, obj)?;
+            if s.wal.is_some() {
+                s.log_touch(obj)?;
+            }
+            s.paranoid_check(obj)?;
+            Ok(out)
+        })
     }
 
     /// The scope every logged operation stamps its entries with.
@@ -207,81 +229,6 @@ impl ObjectStore {
             ops::replace::run(s, obj, offset, data)?;
             s.note_touched(obj);
             s.paranoid_check(obj)
-        })
-    }
-
-    /// The durable side of [`ObjectStore::replace_shadow`]: because the
-    /// copy-on-write rewrite never overwrites committed pages, it needs
-    /// no before-images and no mid-operation log force — exactly like
-    /// insert/delete/append, a [`WalEntry::Touch`] stamping the new
-    /// root is the whole trail, and the commit record is the single
-    /// durable point.
-    pub(crate) fn logged_replace_shadow(
-        &mut self,
-        obj: &mut LargeObject,
-        offset: u64,
-        data: &[u8],
-    ) -> Result<()> {
-        self.with_autocommit(|s| {
-            ops::replace::run_shadow(s, obj, offset, data)?;
-            s.log_touch(obj)?;
-            s.paranoid_check(obj)
-        })
-    }
-
-    pub(crate) fn logged_append(&mut self, obj: &mut LargeObject, data: &[u8]) -> Result<()> {
-        self.with_autocommit(|s| {
-            {
-                let mut session = ops::append::AppendSession::open(s, obj, None)?;
-                session.append(data)?;
-                session.close()?;
-            }
-            s.log_touch(obj)?;
-            s.paranoid_check(obj)
-        })
-    }
-
-    pub(crate) fn logged_insert(
-        &mut self,
-        obj: &mut LargeObject,
-        offset: u64,
-        data: &[u8],
-    ) -> Result<()> {
-        self.with_autocommit(|s| {
-            ops::insert::run(s, obj, offset, data)?;
-            s.log_touch(obj)?;
-            s.paranoid_check(obj)
-        })
-    }
-
-    pub(crate) fn logged_delete(
-        &mut self,
-        obj: &mut LargeObject,
-        offset: u64,
-        len: u64,
-    ) -> Result<()> {
-        self.with_autocommit(|s| {
-            ops::delete::run(s, obj, offset, len)?;
-            s.log_touch(obj)?;
-            s.paranoid_check(obj)
-        })
-    }
-
-    pub(crate) fn logged_create_with(
-        &mut self,
-        data: &[u8],
-        size_hint: Option<u64>,
-    ) -> Result<LargeObject> {
-        self.with_autocommit(|s| {
-            let mut obj = s.create_object();
-            if !data.is_empty() || size_hint.is_some() {
-                let mut session = ops::append::AppendSession::open(s, &mut obj, size_hint)?;
-                session.append(data)?;
-                session.close()?;
-            }
-            s.log_touch(&mut obj)?;
-            s.paranoid_check(&obj)?;
-            Ok(obj)
         })
     }
 

@@ -113,14 +113,7 @@ impl ObjectStore {
         let _span = self
             .metrics()
             .span(eos_obs::OpKind::Reshuffle, self.volume());
-        if self.durable_wal().is_some() {
-            return self.with_autocommit(|s| {
-                let stats = s.compact_inner(obj)?;
-                s.log_touch(obj)?;
-                Ok(stats)
-            });
-        }
-        self.compact_inner(obj)
+        self.shadowed(obj, Self::compact_inner)
     }
 
     fn compact_inner(&mut self, obj: &mut LargeObject) -> Result<CompactStats> {
@@ -169,7 +162,6 @@ impl ObjectStore {
             entries: new_entries,
         };
         normalize_root(self, obj)?;
-        self.paranoid_check(obj)?;
         Ok(CompactStats {
             segments_before: stats_before,
             segments_after: self.segments(obj)?.len() as u64,

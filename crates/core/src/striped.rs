@@ -39,7 +39,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use eos_obs::Metrics;
+use eos_obs::{Counter, Metrics};
 use eos_pager::{PageId, SharedVolume};
 use parking_lot::{LockClass, TrackedMutex};
 
@@ -67,6 +67,14 @@ pub struct StripedWal {
     scopes: TrackedMutex<BTreeMap<TxnId, BTreeSet<usize>>>,
     /// Global LSN allocator — `next_lsn` is the next value handed out.
     next_lsn: AtomicU64,
+    /// The volume every stripe lives on — [`Self::data_barrier`] syncs
+    /// it directly, behind no stripe latch.
+    volume: SharedVolume,
+    // lock-class: barrier_syncs = wal.scopes rank = 54 io = forbidden
+    /// The `wal.syncs` counter the data barrier bumps (the stripes'
+    /// own forces count themselves); cloned out and the latch dropped
+    /// before the sync.
+    barrier_syncs: TrackedMutex<Option<Counter>>,
 }
 
 impl StripedWal {
@@ -74,10 +82,19 @@ impl StripedWal {
         TrackedMutex::new(LockClass::allows_io("wal.stripe"), wal)
     }
 
-    fn scopes_map(
-        seed: BTreeMap<TxnId, BTreeSet<usize>>,
-    ) -> TrackedMutex<BTreeMap<TxnId, BTreeSet<usize>>> {
-        TrackedMutex::new(LockClass::forbids_io("wal.scopes"), seed)
+    fn assemble(
+        volume: &SharedVolume,
+        stripes: Vec<TrackedMutex<DurableWal>>,
+        scopes: BTreeMap<TxnId, BTreeSet<usize>>,
+        next_lsn: u64,
+    ) -> StripedWal {
+        StripedWal {
+            stripes,
+            scopes: TrackedMutex::new(LockClass::forbids_io("wal.scopes"), scopes),
+            next_lsn: AtomicU64::new(next_lsn),
+            volume: volume.clone(),
+            barrier_syncs: TrackedMutex::new(LockClass::forbids_io("wal.scopes"), None),
+        }
     }
 
     /// Record that `txn` has an uncommitted entry on `stripe`. Called
@@ -106,11 +123,7 @@ impl StripedWal {
             wal.set_stripe(r);
             slices.push(Self::stripe_mutex(wal));
         }
-        Ok(StripedWal {
-            stripes: slices,
-            scopes: Self::scopes_map(BTreeMap::new()),
-            next_lsn: AtomicU64::new(1),
-        })
+        Ok(Self::assemble(volume, slices, BTreeMap::new(), 1))
     }
 
     /// Attach to an existing striped region: attach each slice, then
@@ -173,11 +186,7 @@ impl StripedWal {
                 }
             }
         }
-        Ok(StripedWal {
-            stripes: slices,
-            scopes: Self::scopes_map(scopes),
-            next_lsn: AtomicU64::new(max_lsn + 1),
-        })
+        Ok(Self::assemble(volume, slices, scopes, max_lsn + 1))
     }
 
     /// How many stripes this log runs.
@@ -309,14 +318,32 @@ impl StripedWal {
 
     /// Force everything appended so far to stable storage. Stripe 0's
     /// latch stands in for the whole log: any one stripe's force
-    /// barriers the volume, and callers without a stripe set (format,
-    /// recovery, solo barriers) don't contend with anyone.
+    /// barriers the volume, and callers without a stripe set (the
+    /// undo-image force, the restores-before-Abort barrier) are not on
+    /// the commit pipeline's hot path.
     pub fn sync(&self) -> Result<()> {
         let stripe = self.stripes[0].lock();
         // `wal.stripe` is io = allowed (§13): holding the stripe's own
         // latch across its force is the design — it serializes forces
         // *per stripe* while other stripes' forces proceed.
         stripe.sync() // lint: allow(latch, reason = "wal.stripe is io=allowed; the guard covers only this stripe's force")
+    }
+
+    /// The data-before-log barrier (commit stage A, DESIGN.md §9): sync
+    /// the volume so every shadowed page and undo image written so far
+    /// is on disk before a commit record can publish it. Holds **no
+    /// stripe latch** — a barrier that queued on `wal.stripe` would wait
+    /// out every in-flight force and re-serialize the lanes — and counts
+    /// itself in `wal.syncs`.
+    pub fn data_barrier(&self) -> Result<()> {
+        let syncs = self.barrier_syncs.lock().clone();
+        parking_lot::on_volume_io("wal.barrier");
+        // durability: seals(shadow-data)
+        self.volume.sync()?;
+        if let Some(syncs) = syncs {
+            syncs.inc();
+        }
+        Ok(())
     }
 
     /// Force the named stripes — the per-stripe commit barrier. Each
@@ -432,11 +459,6 @@ impl StripedWal {
             .sum()
     }
 
-    /// Bytes of active halves already used by records, all stripes.
-    pub fn bytes_used(&self) -> u64 {
-        self.stripes.iter().map(|s| s.lock().bytes_used()).sum()
-    }
-
     /// Checkpoint every stripe (flip halves, drop dead records).
     pub fn checkpoint(&self) -> Result<()> {
         for stripe in &self.stripes {
@@ -450,6 +472,7 @@ impl StripedWal {
         for stripe in &self.stripes {
             stripe.lock().set_metrics(metrics);
         }
+        *self.barrier_syncs.lock() = Some(metrics.counter("wal.syncs"));
     }
 }
 

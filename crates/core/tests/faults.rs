@@ -3,8 +3,9 @@
 //! committed image must survive any mid-operation failure — the §4.5
 //! no-overwrite discipline at work.
 
-use eos_core::{LargeObject, ObjectStore, StoreConfig};
-use eos_pager::{DiskProfile, FaultyVolume, MemVolume};
+use eos_core::{Error, LargeObject, ObjectStore, StoreConfig};
+use eos_pager::{DiskProfile, FaultyVolume, IoStats, MemVolume, SharedVolume, Volume};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 fn faulty_store(budget: u64) -> (ObjectStore, Arc<FaultyVolume>) {
@@ -106,4 +107,95 @@ fn buddy_directory_fault_does_not_corrupt_on_reopen() {
     // satisfy the buddy invariants.
     let reopened = eos_buddy::BuddyManager::open(inner, 1, 1960).unwrap();
     reopened.check_invariants().unwrap();
+}
+
+/// A volume whose `sync` fails once, after letting `fail_after(n)` more
+/// syncs through ([`FaultyVolume`] budgets reads and writes only).
+struct FailSyncVolume {
+    inner: SharedVolume,
+    fuse: AtomicU64,
+}
+
+impl FailSyncVolume {
+    fn fail_after(&self, n: u64) {
+        self.fuse.store(n, Ordering::SeqCst);
+    }
+}
+
+impl Volume for FailSyncVolume {
+    fn page_size(&self) -> usize {
+        self.inner.page_size()
+    }
+    fn num_pages(&self) -> u64 {
+        self.inner.num_pages()
+    }
+    fn read_into(&self, start: u64, pages: u64, buf: &mut [u8]) -> eos_pager::Result<()> {
+        self.inner.read_into(start, pages, buf)
+    }
+    fn write_pages(&self, start: u64, data: &[u8]) -> eos_pager::Result<()> {
+        self.inner.write_pages(start, data)
+    }
+    fn stats(&self) -> IoStats {
+        self.inner.stats()
+    }
+    fn reset_stats(&self) {
+        self.inner.reset_stats();
+    }
+    fn sync(&self) -> eos_pager::Result<()> {
+        match self.fuse.load(Ordering::SeqCst) {
+            u64::MAX => {}
+            0 => {
+                self.fuse.store(u64::MAX, Ordering::SeqCst);
+                return Err(eos_pager::Error::Io(std::io::Error::other(
+                    "injected sync failure",
+                )));
+            }
+            left => self.fuse.store(left - 1, Ordering::SeqCst),
+        }
+        self.inner.sync()
+    }
+}
+
+/// The single-threaded durable commit whose log force fails: durability
+/// is unknown, so it must surface `CommitFailed` (not the raw I/O error)
+/// and drop its deferred-free batch from the buddy registry — the same
+/// outcome the concurrent front-end gives, because it is the same code.
+#[test]
+fn failed_log_force_fails_the_commit_and_drops_its_frees() {
+    let failer = Arc::new(FailSyncVolume {
+        inner: MemVolume::with_profile(1024, (1024 + 1) * 4 + 62, DiskProfile::FREE).shared(),
+        fuse: AtomicU64::new(u64::MAX),
+    });
+    let mut store =
+        ObjectStore::create_durable(failer.clone(), 4, 1024, StoreConfig::default(), 62).unwrap();
+    let mut obj = store.create_with(&pattern(30_000), None).unwrap();
+
+    store.begin_txn();
+    store.delete(&mut obj, 10_000, 9_000).unwrap();
+    let pending = |s: &ObjectStore| s.metrics_snapshot().gauge("buddy.pending.extents");
+    assert!(
+        pending(&store).unwrap_or(0) > 0,
+        "the delete deferred no frees"
+    );
+
+    // Let the data barrier (sync #1) through, fail the log force (#2).
+    failer.fail_after(1);
+    let err = store.commit_txn().unwrap_err();
+    assert!(
+        matches!(err, Error::CommitFailed { .. }),
+        "force failure surfaced as {err:?}"
+    );
+    assert!(!store.in_txn());
+    assert_eq!(
+        pending(&store).unwrap_or(0),
+        0,
+        "the failed commit's free batch leaked in the buddy registry"
+    );
+}
+
+#[test]
+fn commit_and_abort_without_a_scope_are_typed_errors() {
+    let mut store = ObjectStore::in_memory(512, 100);
+    assert!(matches!(store.commit_txn(), Err(Error::StaleTransaction)));
+    assert!(matches!(store.abort_txn(), Err(Error::StaleTransaction)));
 }

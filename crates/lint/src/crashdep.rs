@@ -1318,8 +1318,8 @@ mod tests {
 
     #[test]
     fn combined_seal_and_mutate_applies_seals_first() {
-        // `prepare_commit`-shaped line: the data barrier and the frame
-        // append collapsed onto one call — seals apply before mutates.
+        // The data barrier and the frame append collapsed onto one
+        // call — seals apply before mutates.
         let decls = "// durability-class: shadow-data requires = none\n\
                      // durability-class: commit-frame requires = shadow-data\n";
         let src = format!(
@@ -1327,7 +1327,7 @@ mod tests {
              impl S {{\n\
                  fn commit(&mut self) {{\n\
                      // durability: seals(shadow-data) mutates(commit-frame)\n\
-                     st.prepare_commit(t, true);\n\
+                     st.barrier_and_append(t);\n\
                  }}\n\
              }}\n"
         );

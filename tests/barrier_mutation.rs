@@ -373,8 +373,8 @@ fn elision_breaks_some_image(
 /// CI smoke (`cargo test --test barrier_mutation quick_`): the three
 /// barriers whose removal the static L6 rule provably catches —
 /// txn 3's undo-image force in `logged_replace`, the data-before-log
-/// barrier in `prepare_commit`, and the commit-frame force — each also
-/// break a crash image at runtime.
+/// barrier (`commit_barrier`), and the commit-frame force
+/// (`commit_force`) — each also break a crash image at runtime.
 #[test]
 fn quick_pinned_barriers_each_break_recovery() {
     let states = model_states();
@@ -452,22 +452,18 @@ fn quick_static_seal_census_matches_runtime() {
     assert_eq!(
         seal_sites,
         vec![
-            // commit_solo: data barrier + per-stripe log force.
-            expect("concurrent.rs", &["shadow-data"]),
-            expect("concurrent.rs", &["commit-frame"]),
-            // flush_batch: phase A barrier + phase C force (striped
-            // and unstriped arms).
-            expect("concurrent.rs", &["shadow-data"]),
-            expect("concurrent.rs", &["commit-frame"]),
-            expect("concurrent.rs", &["commit-frame"]),
             expect("durable.rs", &["shadow-data", "superblock"]),
             expect("durable.rs", &["shadow-data"]),
             expect("durable.rs", &["superblock"]),
+            // The commit protocol's two syncs (commit_barrier,
+            // commit_force), then abort_scope's restores-before-Abort.
+            expect("store.rs", &["shadow-data"]),
             expect("store.rs", &["commit-frame"]),
             expect("store.rs", &["shadow-data"]),
-            expect("store.rs", &["shadow-data"]),
             expect("store/logged.rs", &["undo-image"]),
-            // StripedWal::sync_stripes — the per-stripe commit seal.
+            // StripedWal::data_barrier and ::sync_stripes — the syncs
+            // under those two stages.
+            expect("striped.rs", &["shadow-data"]),
             expect("striped.rs", &["commit-frame"]),
         ],
         "eos-core seal-site census drifted: update the L6 annotations, this \

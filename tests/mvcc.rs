@@ -298,6 +298,62 @@ fn solo_commits_publish_to_readers_too() {
     check_clean(cs, &[("a".to_string(), a2)]);
 }
 
+/// "Solo is a batch of one": with group commit off, each commit runs
+/// the same protocol as a grouped batch, on the committing thread. One
+/// writer driving the same transactions through both settings must
+/// produce the identical write/sync sequence, and every solo commit
+/// must show up in `wal.group_commit.batch` as a batch of exactly 1.
+#[test]
+fn solo_commit_is_a_group_commit_batch_of_one() {
+    const TXNS: u64 = 5;
+    let run = |group: bool| {
+        let metrics = Metrics::new();
+        let (mut store, recorder) = recorder_store(&metrics);
+        let mut a = store.create_with(&pattern(41, 20_000), None).unwrap();
+        let cs = ConcurrentStore::with_group_commit(store, group);
+        recorder.take();
+
+        let txn = cs.begin();
+        let mut b = txn.create(&pattern(42, 6_000), None).unwrap();
+        txn.commit().unwrap();
+        let txn = cs.begin();
+        txn.replace(&mut a, 1_000, &pattern(43, 5_000)).unwrap();
+        txn.insert(&mut b, 500, &pattern(44, 700)).unwrap();
+        txn.commit().unwrap();
+        let txn = cs.begin();
+        txn.delete(&mut a, 8_000, 3_000).unwrap();
+        txn.commit().unwrap();
+        let txn = cs.begin();
+        txn.append(&mut b, &pattern(45, 2_000)).unwrap();
+        txn.truncate(&mut a, 9_000).unwrap();
+        txn.commit().unwrap();
+        // A read-only scope: no barrier, no record, still one batch.
+        let txn = cs.begin();
+        txn.read_all(&b).unwrap();
+        txn.commit().unwrap();
+
+        let events = recorder.take();
+        check_clean(cs, &[("a".to_string(), a), ("b".to_string(), b)]);
+        (events, metrics.snapshot())
+    };
+
+    let (solo_events, solo) = run(false);
+    let (group_events, group) = run(true);
+    assert!(solo_events.contains(&Event::Sync));
+    assert_eq!(
+        solo_events, group_events,
+        "a solo commit and a one-scope group batch diverged in their I/O"
+    );
+    for (name, snap) in [("solo", &solo), ("grouped", &group)] {
+        let batches = snap
+            .histogram("wal.group_commit.batch")
+            .unwrap_or_else(|| panic!("{name} commits recorded no batch sizes"));
+        assert_eq!((batches.count, batches.sum), (TXNS, TXNS), "{name}");
+        assert_eq!(snap.counter("wal.group_commits"), Some(TXNS), "{name}");
+    }
+    assert_eq!(solo.counter("wal.syncs"), group.counter("wal.syncs"));
+}
+
 // ---- reclaim write-ordering (eos-crashdep L6, DESIGN.md §15) ------------
 //
 // The `mvcc-publish` durability class requires `commit-frame`: pages a

@@ -10,6 +10,18 @@ cargo fmt --all --check
 echo "== lint (eos-lint: panic-path ratchet, latch discipline, FORMAT.md drift, lock order, durability order) =="
 cargo run -q --offline -p eos-lint -- .
 
+echo "== wrapper census (one fault-injecting volume) =="
+# Every `impl Volume for` outside the frozen benchmark: MemVolume,
+# FileVolume, CachedVolume, FaultVolume and the test-only GateVolume
+# (a condvar park in cache.rs, not a fault). A new failure or timing
+# policy is a `Plan` rule on FaultVolume (crates/pager/src/fault.rs),
+# not a new type; a volume that really is new moves this pin.
+volume_impls=$(grep -rE --include='*.rs' \
+    --exclude-dir=perf --exclude-dir=vendor --exclude-dir=target --exclude-dir=.bench_build \
+    '^\s*impl(<[^>]*>)?\s+(\w+::)*Volume\s+for\s' . | wc -l)
+test "$volume_impls" -eq 5 \
+    || { echo "expected 5 Volume implementations outside perf/, found $volume_impls"; exit 1; }
+
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 

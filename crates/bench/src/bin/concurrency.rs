@@ -2,9 +2,9 @@
 //!
 //! Each writer thread runs a loop of small durable transactions
 //! (create a 512-byte object, commit). The volume is a
-//! [`ThrottledVolume`] whose `sync` costs a fixed delay — the
-//! in-memory stand-in for an fsync — so the commit pipeline's sync
-//! count is what the benchmark actually measures:
+//! [`FaultVolume`] whose plan is nothing but a fixed delay per `sync`
+//! — the in-memory stand-in for an fsync — so the commit pipeline's
+//! sync count is what the benchmark actually measures:
 //!
 //! * **solo commit** pays two syncs per transaction (data barrier +
 //!   log force), serialized under the store latch: adding writers
@@ -30,16 +30,23 @@ use std::time::{Duration, Instant};
 
 use eos_bench::table::{f2, Table};
 use eos_core::{ConcurrentStore, ObjectStore, StoreConfig};
-use eos_pager::{DiskProfile, MemVolume, SharedVolume, ThrottledVolume};
+use eos_pager::{Calls, DiskProfile, FaultVolume, MemVolume, Plan, SharedVolume};
 
 /// Simulated fsync cost. Real 1992 disks paid ~15 ms; even a modern
 /// NVMe flush is tens of microseconds. 400 µs keeps the run short
 /// while dwarfing the in-memory page work.
 const SYNC_DELAY: Duration = Duration::from_micros(400);
 
+/// `inner` behind the simulated fsync. A delay-only plan keeps reads
+/// and writes off the fault volume's latch.
+fn throttled(inner: SharedVolume) -> Arc<FaultVolume> {
+    FaultVolume::with_plan(inner, Plan::new().sync_delay(SYNC_DELAY))
+        .expect("a delay-only plan takes no snapshot and cannot fail")
+}
+
 fn run_config(writers: usize, group: bool, stripes: usize, per_thread: u64) -> (f64, u64, f64) {
     let inner: SharedVolume = MemVolume::with_profile(4096, 6144, DiskProfile::FREE).shared();
-    let throttled = Arc::new(ThrottledVolume::new(inner, SYNC_DELAY));
+    let throttled = throttled(inner);
     let volume: SharedVolume = throttled.clone();
     // Striped runs shard the buddy directories too (one space per
     // stripe), so allocation and log traffic shard together — the §17
@@ -67,7 +74,7 @@ fn run_config(writers: usize, group: bool, stripes: usize, per_thread: u64) -> (
 
     // Store/WAL format syncs are setup, not workload — a 16-stripe
     // format alone pays 16+ of them.
-    let syncs_at_start = throttled.syncs();
+    let syncs_at_start = throttled.seen(Calls::Syncs);
     let start = Instant::now();
     std::thread::scope(|s| {
         for _ in 0..writers {
@@ -98,7 +105,7 @@ fn run_config(writers: usize, group: bool, stripes: usize, per_thread: u64) -> (
     };
     (
         commits as f64 / elapsed,
-        throttled.syncs() - syncs_at_start,
+        throttled.seen(Calls::Syncs) - syncs_at_start,
         mean_batch,
     )
 }
@@ -110,8 +117,7 @@ const READERS: usize = 4;
 /// threads running alongside. Returns (reads/sec, writer commits).
 fn run_rw_config(writers: usize, reads_per_reader: u64) -> (f64, u64) {
     let inner: SharedVolume = MemVolume::with_profile(4096, 8192, DiskProfile::FREE).shared();
-    let throttled = Arc::new(ThrottledVolume::new(inner, SYNC_DELAY));
-    let volume: SharedVolume = throttled.clone();
+    let volume: SharedVolume = throttled(inner);
     let mut store = ObjectStore::create_durable(
         volume,
         1,
@@ -207,7 +213,7 @@ fn run_traced(per_thread: u64) {
     const TRACE_WRITERS: usize = 4;
     let metrics = eos_obs::Metrics::new();
     let inner: SharedVolume = MemVolume::with_profile(4096, 6144, DiskProfile::FREE).shared();
-    let volume: SharedVolume = Arc::new(ThrottledVolume::new(inner, SYNC_DELAY));
+    let volume: SharedVolume = throttled(inner);
     let mut store = ObjectStore::create_durable(
         volume,
         1,

@@ -1,5 +1,7 @@
 //! Rendering a check run: human-readable table and machine JSON.
 
+use eos_core::obs::json_string;
+
 use crate::{Finding, Severity};
 
 /// Everything one `eos check` run found, plus scan statistics.
@@ -115,25 +117,6 @@ impl Report {
         out.push_str("]}");
         out
     }
-}
-
-/// Minimal JSON string encoder (the workspace has no serde).
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

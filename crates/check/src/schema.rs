@@ -17,6 +17,8 @@
 use std::iter::Peekable;
 use std::str::Chars;
 
+use eos_core::obs::json_string;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -99,7 +101,7 @@ impl Json {
                 format!("{}", *n as i64)
             }
             Json::Num(n) => n.to_string(),
-            Json::Str(s) => crate::report::json_string(s),
+            Json::Str(s) => json_string(s),
             Json::Arr(items) => {
                 let body: Vec<String> = items.iter().map(Json::render).collect();
                 format!("[{}]", body.join(","))
@@ -107,7 +109,7 @@ impl Json {
             Json::Obj(members) => {
                 let body: Vec<String> = members
                     .iter()
-                    .map(|(k, v)| format!("{}:{}", crate::report::json_string(k), v.render()))
+                    .map(|(k, v)| format!("{}:{}", json_string(k), v.render()))
                     .collect();
                 format!("{{{}}}", body.join(","))
             }

@@ -42,6 +42,7 @@ use std::path::Path;
 use eos::buddy::Geometry;
 use eos::catalog::Catalog;
 use eos::core::{ConcurrentStore, LargeObject, ObjectStore, RecoveryReport, StoreConfig};
+use eos::obs::json_string;
 use eos::pager::{DiskProfile, FileVolume, SharedVolume};
 
 /// Page size every CLI volume uses.
@@ -294,21 +295,6 @@ fn parse_pipe_doc(text: &str) -> Result<(Vec<PipeRow>, u64, u64, u64)> {
     ))
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Re-emit parsed rows as Chrome `trace_event` JSON — the same format
 /// [`eos::obs::chrome_trace_json`] produces in-process, rebuilt here
 /// because a dump's phase labels are no longer `&'static str`.
@@ -326,12 +312,12 @@ fn chrome_from_rows(rows: &[PipeRow]) -> String {
         out.push_str(&format!(
             "{{\"name\":{},\"ph\":\"{ph}\",\"ts\":{}.{:03},\"pid\":1,\"tid\":{}{scope},\
              \"args\":{{\"seq\":{},\"kind\":{},\"trace_id\":{},\"batch_id\":{}}}}}",
-            json_str(&r.phase),
+            json_string(&r.phase),
             r.ts_ns / 1000,
             r.ts_ns % 1000,
             r.thread,
             r.seq,
-            json_str(&r.kind),
+            json_string(&r.kind),
             r.trace_id,
             r.batch_id
         ));

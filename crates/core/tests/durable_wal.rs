@@ -5,7 +5,7 @@
 //! targeted failure modes of the durable WAL integration.
 
 use eos_core::{ObjectStore, StoreConfig};
-use eos_pager::{DiskProfile, MemVolume, SharedVolume};
+use eos_pager::{DiskProfile, Entry, FaultVolume, MemVolume, Plan, SharedVolume};
 
 const PAGE: usize = 512;
 const SPACES: usize = 2;
@@ -175,92 +175,54 @@ fn reopen_is_idempotent() {
 
 // ---- write-ordering barriers --------------------------------------------
 //
-// The crash sweep cannot catch a missing fsync barrier: its injected
-// volume persists writes in order, while a real OS page cache may
-// reorder them. These tests pin the barrier protocol itself by
-// recording the interleaving of write and sync calls.
+// The crash sweep's lost-unsynced scenario and the barrier-mutation
+// sweep show that recovery *needs* each barrier; these tests pin where
+// the barriers sit, by asserting on the journaled interleaving of
+// write and sync calls.
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Event {
-    Write { start: u64, pages: u64 },
-    Sync,
+/// A call-journaling volume over a fresh one.
+fn recorder() -> std::sync::Arc<FaultVolume> {
+    FaultVolume::with_plan(fresh_volume(), Plan::new().journal()).unwrap()
 }
 
-struct EventVolume {
-    inner: SharedVolume,
-    events: std::sync::Mutex<Vec<Event>>,
+/// The write/sync stream since the last call (reads are not part of
+/// the ordering contract).
+fn take_events(recorder: &FaultVolume) -> Vec<Entry> {
+    let mut events = recorder.take_journal();
+    events.retain(|e| !matches!(e, Entry::Read { .. }));
+    events
 }
 
-impl EventVolume {
-    fn new(inner: SharedVolume) -> std::sync::Arc<EventVolume> {
-        std::sync::Arc::new(EventVolume {
-            inner,
-            events: std::sync::Mutex::new(Vec::new()),
-        })
-    }
-
-    fn take(&self) -> Vec<Event> {
-        std::mem::take(&mut self.events.lock().unwrap())
-    }
-}
-
-impl eos_pager::Volume for EventVolume {
-    fn page_size(&self) -> usize {
-        self.inner.page_size()
-    }
-    fn num_pages(&self) -> u64 {
-        self.inner.num_pages()
-    }
-    fn read_into(&self, start: u64, pages: u64, buf: &mut [u8]) -> eos_pager::Result<()> {
-        self.inner.read_into(start, pages, buf)
-    }
-    fn write_pages(&self, start: u64, data: &[u8]) -> eos_pager::Result<()> {
-        self.events.lock().unwrap().push(Event::Write {
-            start,
-            pages: (data.len() / self.inner.page_size()) as u64,
-        });
-        self.inner.write_pages(start, data)
-    }
-    fn stats(&self) -> eos_pager::IoStats {
-        self.inner.stats()
-    }
-    fn reset_stats(&self) {
-        self.inner.reset_stats();
-    }
-    fn sync(&self) -> eos_pager::Result<()> {
-        self.events.lock().unwrap().push(Event::Sync);
-        self.inner.sync()
-    }
-}
+const SYNC: Entry = Entry::Sync { forwarded: true };
 
 const WAL_BASE: u64 = (PPS + 1) * SPACES as u64;
 
-fn is_log_write(e: &Event) -> bool {
-    matches!(e, Event::Write { start, .. } if *start >= WAL_BASE)
+fn is_log_write(e: &Entry) -> bool {
+    matches!(e, Entry::Write { start, .. } if *start >= WAL_BASE)
 }
 
-fn is_data_write(e: &Event) -> bool {
-    matches!(e, Event::Write { start, .. } if *start < WAL_BASE)
+fn is_data_write(e: &Entry) -> bool {
+    matches!(e, Entry::Write { start, .. } if *start < WAL_BASE)
 }
 
 /// Index of the first sync strictly after `from`, if any.
-fn sync_after(events: &[Event], from: usize) -> Option<usize> {
+fn sync_after(events: &[Entry], from: usize) -> Option<usize> {
     events[from + 1..]
         .iter()
-        .position(|e| *e == Event::Sync)
+        .position(|e| *e == SYNC)
         .map(|i| from + 1 + i)
 }
 
 #[test]
 fn replace_barriers_order_undo_data_and_commit() {
-    let recorder = EventVolume::new(fresh_volume());
+    let recorder = recorder();
     let vol: SharedVolume = recorder.clone();
     let mut store = create(vol);
     let mut a = store.create_with(&pattern(4 * PAGE, 1), None).unwrap();
-    recorder.take();
+    take_events(&recorder);
 
     store.replace(&mut a, 100, &pattern(900, 2)).unwrap();
-    let events = recorder.take();
+    let events = take_events(&recorder);
 
     // WAL rule: the Op frame (undo images) is written and *synced*
     // before the first in-place data write.
@@ -288,23 +250,23 @@ fn replace_barriers_order_undo_data_and_commit() {
     );
     assert_eq!(
         events.last(),
-        Some(&Event::Sync),
+        Some(&SYNC),
         "the commit frame itself is synced"
     );
 }
 
 #[test]
 fn abort_syncs_restores_before_the_abort_frame() {
-    let recorder = EventVolume::new(fresh_volume());
+    let recorder = recorder();
     let vol: SharedVolume = recorder.clone();
     let mut store = create(vol);
     let mut a = store.create_with(&pattern(4 * PAGE, 1), None).unwrap();
 
     store.begin_txn();
     store.replace(&mut a, 0, &pattern(700, 3)).unwrap();
-    recorder.take();
+    take_events(&recorder);
     store.abort_txn().unwrap();
-    let events = recorder.take();
+    let events = take_events(&recorder);
 
     // The before-image restores (data writes) must be durable before
     // the Abort frame — otherwise a crash can persist the Abort and

@@ -4,16 +4,21 @@
 //! no-overwrite discipline at work.
 
 use eos_core::{Error, LargeObject, ObjectStore, StoreConfig};
-use eos_pager::{DiskProfile, FaultyVolume, IoStats, MemVolume, SharedVolume, Volume};
-use std::sync::atomic::{AtomicU64, Ordering};
+use eos_pager::{Calls, DiskProfile, FaultVolume, MemVolume, Plan};
 use std::sync::Arc;
 
-fn faulty_store(budget: u64) -> (ObjectStore, Arc<FaultyVolume>) {
+fn faulty_store() -> (ObjectStore, Arc<FaultVolume>) {
     let inner = MemVolume::with_profile(512, 2002, DiskProfile::FREE).shared();
-    let f = FaultyVolume::new(inner, u64::MAX);
+    let f = FaultVolume::new(inner);
     let store = ObjectStore::create(f.clone(), 1, 1960, StoreConfig::default()).unwrap();
-    f.heal(budget);
     (store, f)
+}
+
+/// Allow `budget` more reads and writes (one shared count) and fail
+/// every one after that, until the next `heal`.
+fn heal(f: &FaultVolume, budget: u64) {
+    f.arm(Plan::new().fail_from(Calls::ReadsAndWrites, budget))
+        .unwrap();
 }
 
 fn pattern(len: usize) -> Vec<u8> {
@@ -22,11 +27,11 @@ fn pattern(len: usize) -> Vec<u8> {
 
 #[test]
 fn every_op_returns_err_when_io_fails() {
-    let (mut store, f) = faulty_store(u64::MAX);
+    let (mut store, f) = faulty_store();
     let mut obj = store.create_with(&pattern(50_000), None).unwrap();
 
     // Exhaust the budget: each op must fail cleanly.
-    f.heal(0);
+    heal(&f, 0);
     assert!(store.read(&obj, 0, 100).is_err());
     assert!(store.replace(&mut obj, 0, b"x").is_err());
     assert!(store.insert(&mut obj, 10, b"x").is_err());
@@ -39,7 +44,7 @@ fn every_op_returns_err_when_io_fails() {
 
     // Heal: the store is usable again (the failed ops may have torn the
     // in-flight object, but fresh objects work).
-    f.heal(u64::MAX);
+    heal(&f, u64::MAX);
     let fresh = store.create_with(&pattern(1000), None).unwrap();
     assert_eq!(store.read_all(&fresh).unwrap(), pattern(1000));
 }
@@ -49,30 +54,30 @@ fn faults_at_every_budget_never_panic() {
     // Sweep the failure point across an update; whatever happens must be
     // an Err or an Ok, never a panic.
     for budget in 0..60 {
-        let (mut store, f) = faulty_store(u64::MAX);
+        let (mut store, f) = faulty_store();
         let mut obj = store.create_with(&pattern(30_000), None).unwrap();
-        f.heal(budget);
+        heal(&f, budget);
         let _ = store.insert(&mut obj, 15_000, &pattern(2_000));
         let _ = store.delete(&mut obj, 1_000, 500);
-        f.heal(u64::MAX);
+        heal(&f, u64::MAX);
     }
 }
 
 #[test]
 fn committed_image_survives_mid_txn_fault() {
     for budget in [1u64, 2, 3, 4, 5, 6] {
-        let (mut store, f) = faulty_store(u64::MAX);
+        let (mut store, f) = faulty_store();
         let content = pattern(40_000);
         let obj = store.create_with(&content, None).unwrap();
         let committed = obj.to_bytes();
 
         store.begin_txn();
         let mut inflight = obj;
-        f.heal(budget);
+        heal(&f, budget);
         // The update fails somewhere in the middle.
         let r1 = store.insert(&mut inflight, 20_000, &pattern(3_000));
         let r2 = store.delete(&mut inflight, 100, 2_000);
-        f.heal(u64::MAX);
+        heal(&f, u64::MAX);
         store.abort_txn().unwrap();
         if r1.is_ok() && r2.is_ok() {
             continue; // the budget covered both ops; nothing failed
@@ -96,11 +101,11 @@ fn buddy_directory_fault_does_not_corrupt_on_reopen() {
     // ahead of disk. Reopening from disk must still validate (the
     // directory page is written atomically per op).
     let inner = MemVolume::with_profile(512, 2002, DiskProfile::FREE).shared();
-    let f = FaultyVolume::new(inner.clone(), u64::MAX);
+    let f = FaultVolume::new(inner.clone());
     {
         let mut store = ObjectStore::create(f.clone(), 1, 1960, StoreConfig::default()).unwrap();
         let _keep = store.create_with(&pattern(10_000), None).unwrap();
-        f.heal(2);
+        heal(&f, 2);
         let _ = store.create_with(&pattern(50_000), None); // dies mid-way
     }
     // Reopen from the raw volume: every directory page must parse and
@@ -109,63 +114,15 @@ fn buddy_directory_fault_does_not_corrupt_on_reopen() {
     reopened.check_invariants().unwrap();
 }
 
-/// A volume whose `sync` fails once, after letting `fail_after(n)` more
-/// syncs through ([`FaultyVolume`] budgets reads and writes only).
-struct FailSyncVolume {
-    inner: SharedVolume,
-    fuse: AtomicU64,
-}
-
-impl FailSyncVolume {
-    fn fail_after(&self, n: u64) {
-        self.fuse.store(n, Ordering::SeqCst);
-    }
-}
-
-impl Volume for FailSyncVolume {
-    fn page_size(&self) -> usize {
-        self.inner.page_size()
-    }
-    fn num_pages(&self) -> u64 {
-        self.inner.num_pages()
-    }
-    fn read_into(&self, start: u64, pages: u64, buf: &mut [u8]) -> eos_pager::Result<()> {
-        self.inner.read_into(start, pages, buf)
-    }
-    fn write_pages(&self, start: u64, data: &[u8]) -> eos_pager::Result<()> {
-        self.inner.write_pages(start, data)
-    }
-    fn stats(&self) -> IoStats {
-        self.inner.stats()
-    }
-    fn reset_stats(&self) {
-        self.inner.reset_stats();
-    }
-    fn sync(&self) -> eos_pager::Result<()> {
-        match self.fuse.load(Ordering::SeqCst) {
-            u64::MAX => {}
-            0 => {
-                self.fuse.store(u64::MAX, Ordering::SeqCst);
-                return Err(eos_pager::Error::Io(std::io::Error::other(
-                    "injected sync failure",
-                )));
-            }
-            left => self.fuse.store(left - 1, Ordering::SeqCst),
-        }
-        self.inner.sync()
-    }
-}
-
 /// The single-threaded durable commit whose log force fails: durability
 /// is unknown, so it must surface `CommitFailed` (not the raw I/O error)
 /// and drop its deferred-free batch from the buddy registry — the same
 /// outcome the concurrent front-end gives, because it is the same code.
 #[test]
 fn failed_log_force_fails_the_commit_and_drops_its_frees() {
-    let failer = Arc::new(FailSyncVolume {
-        inner: MemVolume::with_profile(1024, (1024 + 1) * 4 + 62, DiskProfile::FREE).shared(),
-        fuse: AtomicU64::new(u64::MAX),
-    });
+    let failer = FaultVolume::new(
+        MemVolume::with_profile(1024, (1024 + 1) * 4 + 62, DiskProfile::FREE).shared(),
+    );
     let mut store =
         ObjectStore::create_durable(failer.clone(), 4, 1024, StoreConfig::default(), 62).unwrap();
     let mut obj = store.create_with(&pattern(30_000), None).unwrap();
@@ -179,7 +136,7 @@ fn failed_log_force_fails_the_commit_and_drops_its_frees() {
     );
 
     // Let the data barrier (sync #1) through, fail the log force (#2).
-    failer.fail_after(1);
+    failer.arm(Plan::new().fail_once(Calls::Syncs, 1)).unwrap();
     let err = store.commit_txn().unwrap_err();
     assert!(
         matches!(err, Error::CommitFailed { .. }),

@@ -67,7 +67,7 @@
 //!
 //! Suppression: `// lint: allow(durability, reason = "…")` on or above
 //! the offending line. Known blind spots (documented, covered by the
-//! `MutatingVolume` barrier-mutation harness): unresolved receivers,
+//! `FaultVolume` barrier-mutation harness): unresolved receivers,
 //! branch-dependent barriers, cross-crate calls.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};

@@ -20,29 +20,11 @@
 use std::path::PathBuf;
 
 use crate::tracer::PipeEvent;
-use crate::Metrics;
+use crate::{json_string, Metrics};
 
 /// Environment variable naming the flight-recorder output file. When
 /// unset, [`Metrics::flight_dump`] is a no-op.
 pub const FLIGHT_PATH_ENV: &str = "EOS_FLIGHT_PATH";
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
 
 fn pipe_event_json(ev: &PipeEvent) -> String {
     format!(

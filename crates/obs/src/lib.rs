@@ -53,15 +53,15 @@ use parking_lot::Mutex;
 
 pub use flight::{chrome_trace_json, install_flight_panic_hook, pipe_doc_json, FLIGHT_PATH_ENV};
 pub use registry::{Counter, Gauge, Histogram};
-pub use snapshot::{render_trace, HistogramSnapshot, MetricsSnapshot, OpSnapshot};
+pub use snapshot::{json_string, render_trace, HistogramSnapshot, MetricsSnapshot, OpSnapshot};
 pub use span::OpSpan;
 pub use trace::TraceEvent;
 pub use tracer::{PipeEvent, PipeKind, PipeSpan, PIN_TRACE_BIT};
 
 use registry::HistogramInner;
 use span::IoDelta;
-use trace::TraceRing;
-use tracer::{thread_ordinal, PipeRing};
+use trace::Ring;
+use tracer::thread_ordinal;
 
 /// The logical operations I/O can be attributed to.
 ///
@@ -189,8 +189,8 @@ struct Inner {
     /// report its own exclusive share.
     // lock-class: stack = obs.stack rank = 63 io = forbidden
     stack: Mutex<Vec<IoDelta>>,
-    ring: TraceRing,
-    pipe: PipeRing,
+    ring: Ring<TraceEvent>,
+    pipe: Ring<PipeEvent>,
     /// Stall-watchdog threshold in µs (0 disables the watchdog).
     stall_threshold_us: AtomicU64,
 }
@@ -239,8 +239,8 @@ impl Metrics {
                 gauges: Mutex::new(BTreeMap::new()),
                 histograms: Mutex::new(BTreeMap::new()),
                 stack: Mutex::new(Vec::new()),
-                ring: TraceRing::new(trace_capacity),
-                pipe: PipeRing::new(pipe_capacity),
+                ring: Ring::new(trace_capacity),
+                pipe: Ring::new(pipe_capacity),
                 stall_threshold_us: AtomicU64::new(DEFAULT_STALL_THRESHOLD_US),
             }),
         }
@@ -367,8 +367,8 @@ impl Metrics {
         if !self.enabled() {
             return;
         }
-        self.inner.pipe.record(PipeEvent {
-            seq: 0,
+        self.inner.pipe.record(|seq| PipeEvent {
+            seq,
             ts_ns,
             kind,
             phase,
@@ -458,8 +458,8 @@ impl Metrics {
         agg.wall_ns_inclusive.fetch_add(wall_ns, Ordering::Relaxed);
         agg.wall_ns_exclusive
             .fetch_add(exclusive.wall_ns, Ordering::Relaxed);
-        self.inner.ring.record(trace::TraceEvent {
-            seq: 0,
+        self.inner.ring.record(|seq| TraceEvent {
+            seq,
             op: kind.label(),
             seeks: exclusive.seeks,
             page_reads: exclusive.page_reads,
@@ -507,6 +507,7 @@ pub fn saturating_io_delta(now: IoStats, entry: IoStats) -> IoStats {
         elapsed_us: now.elapsed_us.saturating_sub(entry.elapsed_us),
         read_faults: now.read_faults.saturating_sub(entry.read_faults),
         write_faults: now.write_faults.saturating_sub(entry.write_faults),
+        sync_faults: now.sync_faults.saturating_sub(entry.sync_faults),
     }
 }
 

@@ -506,8 +506,10 @@ fn sanitize(name: &str) -> String {
         .collect()
 }
 
-/// Minimal JSON string encoder (same dialect as eos-check's reports).
-fn json_string(s: &str) -> String {
+/// The workspace's one JSON string encoder (there is no serde): `s`
+/// quoted, with `"`, `\` and control characters escaped. Shared by
+/// the snapshots and dumps here, eos-check's reports and the CLI.
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

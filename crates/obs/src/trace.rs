@@ -1,4 +1,5 @@
-//! Fixed-capacity ring of completed-span trace events.
+//! Fixed-capacity event ring, and the completed-span trace events
+//! it retains.
 //!
 //! The ring is wait-free for writers on the hot path: a single atomic
 //! sequence allocation picks the slot, and each slot has its own tiny
@@ -39,16 +40,21 @@ pub struct TraceEvent {
     pub wall_ns_exclusive: u64,
 }
 
-pub(crate) struct TraceRing {
+/// Wait-free overwrite-oldest ring, shared by the completed-span
+/// [`TraceEvent`]s and the pipeline [`crate::PipeEvent`]s.
+pub(crate) struct Ring<T> {
     next: AtomicU64,
-    // lock-class: slots = obs.trace rank = 64 io = forbidden
-    slots: Vec<Mutex<Option<TraceEvent>>>,
+    // One tiny latch per slot, never held across another acquisition:
+    // above every core latch so an event can be recorded while any of
+    // them is held.
+    // lock-class: slots = obs.ring rank = 64 io = forbidden
+    slots: Vec<Mutex<Option<(u64, T)>>>,
 }
 
-impl TraceRing {
-    pub(crate) fn new(capacity: usize) -> TraceRing {
+impl<T: Copy> Ring<T> {
+    pub(crate) fn new(capacity: usize) -> Ring<T> {
         let capacity = capacity.max(1);
-        TraceRing {
+        Ring {
             next: AtomicU64::new(0),
             slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
         }
@@ -63,20 +69,21 @@ impl TraceRing {
         self.next.load(Ordering::Relaxed)
     }
 
-    pub(crate) fn record(&self, mut ev: TraceEvent) {
+    /// Allocate the next sequence number and store the event `stamp`
+    /// builds around it.
+    pub(crate) fn record(&self, stamp: impl FnOnce(u64) -> T) {
         let seq = self.next.fetch_add(1, Ordering::Relaxed);
-        ev.seq = seq;
         let idx = (seq % self.slots.len() as u64) as usize;
-        *self.slots[idx].lock() = Some(ev);
+        *self.slots[idx].lock() = Some((seq, stamp(seq)));
     }
 
     /// The retained events, oldest first. Under concurrent writers the
     /// result is a best-effort consistent view (each slot is read
-    /// atomically; ordering is restored by `seq`).
-    pub(crate) fn events(&self) -> Vec<TraceEvent> {
-        let mut out: Vec<TraceEvent> = self.slots.iter().filter_map(|slot| *slot.lock()).collect();
-        out.sort_by_key(|ev| ev.seq);
-        out
+    /// atomically; ordering is restored by sequence number).
+    pub(crate) fn events(&self) -> Vec<T> {
+        let mut out: Vec<(u64, T)> = self.slots.iter().filter_map(|slot| *slot.lock()).collect();
+        out.sort_by_key(|&(seq, _)| seq);
+        out.into_iter().map(|(_, ev)| ev).collect()
     }
 }
 
@@ -84,9 +91,9 @@ impl TraceRing {
 mod tests {
     use super::*;
 
-    fn ev(op: &'static str) -> TraceEvent {
-        TraceEvent {
-            seq: 0,
+    fn ev(op: &'static str) -> impl FnOnce(u64) -> TraceEvent {
+        move |seq| TraceEvent {
+            seq,
             op,
             seeks: 1,
             page_reads: 2,
@@ -99,7 +106,7 @@ mod tests {
 
     #[test]
     fn retains_most_recent_on_overflow() {
-        let ring = TraceRing::new(4);
+        let ring = Ring::new(4);
         for _ in 0..10 {
             ring.record(ev("read"));
         }
@@ -112,7 +119,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_is_clamped() {
-        let ring = TraceRing::new(0);
+        let ring = Ring::new(0);
         ring.record(ev("append"));
         assert_eq!(ring.capacity(), 1);
         assert_eq!(ring.events().len(), 1);
@@ -120,7 +127,7 @@ mod tests {
 
     #[test]
     fn events_come_back_oldest_first() {
-        let ring = TraceRing::new(8);
+        let ring = Ring::new(8);
         ring.record(ev("create"));
         ring.record(ev("read"));
         let events = ring.events();

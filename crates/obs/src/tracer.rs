@@ -9,17 +9,15 @@
 //! small per-process thread ordinal, and a static phase label
 //! (`commit.phase_a`, `wal.force`, `lock.block`, …).
 //!
-//! Recording follows the trace ring's wait-free design: one atomic
-//! sequence allocation picks the slot, each slot has its own tiny
-//! latch, overflow overwrites the oldest event. Timestamps are
+//! Events land in a second instance of the trace ring (`Ring<T>`):
+//! one atomic sequence allocation picks the slot, each slot has its
+//! own tiny latch, overflow overwrites the oldest event. Timestamps are
 //! nanoseconds since the owning [`crate::Metrics`] domain was created,
 //! so events from different threads order on one clock. DESIGN.md §16
 //! documents the schema and the trace_id propagation rules.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-
-use parking_lot::Mutex;
 
 use crate::Metrics;
 
@@ -82,48 +80,6 @@ pub struct PipeEvent {
     pub batch_id: u64,
     /// Small per-process thread ordinal (first use assigns 1, 2, …).
     pub thread: u64,
-}
-
-/// Wait-free overwrite-oldest ring of [`PipeEvent`]s — same shape as
-/// the completed-span [`crate::TraceEvent`] ring, one rank above it.
-pub(crate) struct PipeRing {
-    next: AtomicU64,
-    // lock-class: slots = obs.pipe rank = 65 io = forbidden
-    slots: Vec<Mutex<Option<PipeEvent>>>,
-}
-
-impl PipeRing {
-    pub(crate) fn new(capacity: usize) -> PipeRing {
-        let capacity = capacity.max(1);
-        PipeRing {
-            next: AtomicU64::new(0),
-            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
-        }
-    }
-
-    pub(crate) fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Total events ever recorded (may exceed capacity).
-    pub(crate) fn recorded(&self) -> u64 {
-        self.next.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn record(&self, mut ev: PipeEvent) {
-        let seq = self.next.fetch_add(1, Ordering::Relaxed);
-        ev.seq = seq;
-        let idx = (seq % self.slots.len() as u64) as usize;
-        *self.slots[idx].lock() = Some(ev);
-    }
-
-    /// The retained events, oldest first (best-effort consistent under
-    /// concurrent writers; ordering restored by `seq`).
-    pub(crate) fn events(&self) -> Vec<PipeEvent> {
-        let mut out: Vec<PipeEvent> = self.slots.iter().filter_map(|slot| *slot.lock()).collect();
-        out.sort_by_key(|ev| ev.seq);
-        out
-    }
 }
 
 /// The per-thread ordinal stamped into [`PipeEvent::thread`]: stable
@@ -196,29 +152,6 @@ impl Drop for PipeSpan {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ev(phase: &'static str) -> PipeEvent {
-        PipeEvent {
-            seq: 0,
-            ts_ns: 1,
-            kind: PipeKind::Instant,
-            phase,
-            trace_id: 7,
-            batch_id: 3,
-            thread: 1,
-        }
-    }
-
-    #[test]
-    fn ring_retains_most_recent_on_overflow() {
-        let ring = PipeRing::new(4);
-        for _ in 0..9 {
-            ring.record(ev("commit.phase_a"));
-        }
-        assert_eq!(ring.recorded(), 9);
-        let seqs: Vec<u64> = ring.events().iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![5, 6, 7, 8]);
-    }
 
     #[test]
     fn thread_ordinals_are_stable_and_distinct() {

@@ -17,13 +17,22 @@ pub enum Error {
         /// Total pages in the volume.
         volume_pages: u64,
     },
-    /// The byte buffer handed to a multi-page write was not a whole
-    /// number of pages.
+    /// A byte length — the buffer handed to a multi-page write, or the
+    /// file behind a [`FileVolume`](crate::FileVolume) — was not a
+    /// whole number of pages.
     UnalignedBuffer {
-        /// Length of the buffer in bytes.
+        /// The offending length in bytes.
         len: usize,
         /// Page size of the volume.
         page_size: usize,
+    },
+    /// The buffer handed to a multi-page read was not exactly the size
+    /// of the pages asked for.
+    BufferSizeMismatch {
+        /// Length of the buffer in bytes.
+        len: usize,
+        /// Bytes the read transfers.
+        want: usize,
     },
     /// An underlying operating-system I/O failure (file-backed volumes).
     Io(std::io::Error),
@@ -43,8 +52,11 @@ impl fmt::Display for Error {
             ),
             Error::UnalignedBuffer { len, page_size } => write!(
                 f,
-                "buffer of {len} bytes is not a whole number of {page_size}-byte pages"
+                "{len} bytes is not a whole number of {page_size}-byte pages"
             ),
+            Error::BufferSizeMismatch { len, want } => {
+                write!(f, "read buffer of {len} bytes for a {want}-byte read")
+            }
             Error::Io(e) => write!(f, "I/O error: {e}"),
         }
     }

@@ -14,6 +14,8 @@
 //!   [`DiskProfile`].
 //! * [`IoStats`] — cumulative counters with snapshot/delta arithmetic so
 //!   experiments can report the cost of a single operation.
+//! * [`FaultVolume`] — the one fault-injecting wrapper the tests and
+//!   benches share: a call journal plus a [`Plan`] of rules.
 //!
 //! The paper evaluated on raw disks of 1992 SunOS SparcStations; the disk
 //! model substitutes a parametric simulation that preserves exactly the
@@ -41,23 +43,17 @@
 #![warn(missing_docs)]
 
 mod cache;
-mod crashpoint;
 mod disk;
 mod error;
-mod faulty;
-mod mutate;
+mod fault;
 mod stats;
-mod throttle;
 mod volume;
 
 pub use cache::{CacheStats, CachedVolume};
-pub use crashpoint::{CrashPointVolume, WriteRecord};
 pub use disk::{DiskModel, DiskProfile};
 pub use error::{Error, Result};
-pub use faulty::FaultyVolume;
-pub use mutate::MutatingVolume;
+pub use fault::{Calls, Cut, Entry, FaultVolume, Persistence, Plan};
 pub use stats::IoStats;
-pub use throttle::ThrottledVolume;
 pub use volume::{FileVolume, MemVolume, SharedVolume, Volume};
 
 /// Identifier of a page within a volume (zero-based).

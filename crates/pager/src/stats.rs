@@ -27,13 +27,13 @@ pub struct IoStats {
     pub write_calls: u64,
     /// Simulated elapsed microseconds under the volume's disk profile.
     pub elapsed_us: u64,
-    /// Read calls rejected by a fault-injection layer
-    /// ([`FaultyVolume`](crate::FaultyVolume) /
-    /// [`CrashPointVolume`](crate::CrashPointVolume)); zero on real
-    /// volumes.
+    /// Read calls rejected by the fault-injection layer
+    /// ([`FaultVolume`](crate::FaultVolume)); zero on real volumes.
     pub read_faults: u64,
-    /// Write calls rejected by a fault-injection layer.
+    /// Write calls rejected by the fault-injection layer.
     pub write_faults: u64,
+    /// Sync calls rejected by the fault-injection layer.
+    pub sync_faults: u64,
 }
 
 impl IoStats {
@@ -49,10 +49,10 @@ impl IoStats {
         self.read_calls + self.write_calls
     }
 
-    /// Total injected faults in either direction.
+    /// Total injected faults: rejected reads, writes and syncs.
     #[inline]
     pub fn faults(&self) -> u64 {
-        self.read_faults + self.write_faults
+        self.read_faults + self.write_faults + self.sync_faults
     }
 
     /// Simulated elapsed time in milliseconds (floating point).
@@ -75,6 +75,7 @@ impl Sub for IoStats {
             elapsed_us: self.elapsed_us - rhs.elapsed_us,
             read_faults: self.read_faults - rhs.read_faults,
             write_faults: self.write_faults - rhs.write_faults,
+            sync_faults: self.sync_faults - rhs.sync_faults,
         }
     }
 }
@@ -84,12 +85,13 @@ impl std::fmt::Display for IoStats {
         write!(
             f,
             "{} seeks, {} page reads, {} page writes, {} read faults, \
-             {} write faults ({:.3} ms simulated)",
+             {} write faults, {} sync faults ({:.3} ms simulated)",
             self.seeks,
             self.page_reads,
             self.page_writes,
             self.read_faults,
             self.write_faults,
+            self.sync_faults,
             self.elapsed_ms()
         )
     }
@@ -110,6 +112,7 @@ mod tests {
             elapsed_us: 5000,
             read_faults: 1,
             write_faults: 0,
+            sync_faults: 0,
         };
         let b = IoStats {
             seeks: 5,
@@ -120,13 +123,14 @@ mod tests {
             elapsed_us: 9000,
             read_faults: 2,
             write_faults: 2,
+            sync_faults: 1,
         };
         let d = b - a;
         assert_eq!(d.seeks, 3);
         assert_eq!(d.transfers(), 11);
         assert_eq!(d.calls(), 4);
         assert_eq!(d.elapsed_us, 4000);
-        assert_eq!(d.faults(), 3);
+        assert_eq!(d.faults(), 4);
     }
 
     #[test]
@@ -149,11 +153,13 @@ mod tests {
             page_writes: 3,
             read_faults: 4,
             write_faults: 5,
+            sync_faults: 6,
             ..IoStats::default()
         };
         let text = s.to_string();
         assert!(text.contains("4 read faults"), "got: {text}");
         assert!(text.contains("5 write faults"), "got: {text}");
+        assert!(text.contains("6 sync faults"), "got: {text}");
         // Fault-free stats still render the (zero) counts so the shape
         // of the line is stable for log scrapers.
         let clean = IoStats::default().to_string();

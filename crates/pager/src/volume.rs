@@ -89,6 +89,15 @@ fn check_buffer(len: usize, page_size: usize) -> Result<u64> {
     Ok((len / page_size) as u64)
 }
 
+/// A read buffer must be exactly `pages` pages long.
+fn check_read_buffer(len: usize, pages: u64, page_size: usize) -> Result<usize> {
+    let want = (pages as usize) * page_size;
+    if len != want {
+        return Err(Error::BufferSizeMismatch { len, want });
+    }
+    Ok(want)
+}
+
 /// An in-memory volume: the default substrate for experiments, where the
 /// [`DiskModel`] supplies the simulated cost.
 pub struct MemVolume {
@@ -132,9 +141,9 @@ impl MemVolume {
         }
     }
 
-    /// Rebuild a volume from a raw byte image (e.g. the disk image a
-    /// [`crate::CrashPointVolume`] captured at its crash point). The
-    /// image length must be a whole number of pages.
+    /// Rebuild a volume from a raw byte image (e.g. the crash image a
+    /// [`crate::FaultVolume`] reconstructed). The image length must be
+    /// a whole number of pages.
     pub fn from_bytes(page_size: usize, image: Vec<u8>, profile: DiskProfile) -> Self {
         assert!(page_size > 0, "page size must be positive");
         assert!(
@@ -174,8 +183,7 @@ impl Volume for MemVolume {
     fn read_into(&self, start: PageId, pages: u64, buf: &mut [u8]) -> Result<()> {
         on_volume_io("read");
         check_access(start, pages, self.num_pages)?;
-        let want = (pages as usize) * self.page_size;
-        assert_eq!(buf.len(), want, "read buffer size mismatch");
+        let want = check_read_buffer(buf.len(), pages, self.page_size)?;
         let mut inner = self.inner.lock();
         inner.disk.record_read(start, pages);
         let off = (start as usize) * self.page_size;
@@ -259,6 +267,12 @@ impl FileVolume {
     pub fn open<P: AsRef<Path>>(path: P, page_size: usize, profile: DiskProfile) -> Result<Self> {
         let file = OpenOptions::new().read(true).write(true).open(path)?;
         let len = file.metadata()?.len();
+        if page_size == 0 || !len.is_multiple_of(page_size as u64) {
+            return Err(Error::UnalignedBuffer {
+                len: len as usize,
+                page_size,
+            });
+        }
         let num_pages = len / page_size as u64;
         Ok(FileVolume {
             page_size,
@@ -291,8 +305,7 @@ impl Volume for FileVolume {
     fn read_into(&self, start: PageId, pages: u64, buf: &mut [u8]) -> Result<()> {
         on_volume_io("read");
         check_access(start, pages, self.num_pages)?;
-        let want = (pages as usize) * self.page_size;
-        assert_eq!(buf.len(), want, "read buffer size mismatch");
+        check_read_buffer(buf.len(), pages, self.page_size)?;
         let mut inner = self.inner.lock();
         inner.disk.record_read(start, pages);
         inner
@@ -364,6 +377,44 @@ mod tests {
             v.write_pages(0, &[0u8; 100]),
             Err(Error::UnalignedBuffer { .. })
         ));
+    }
+
+    #[test]
+    fn wrong_size_read_buffers_are_typed_errors() {
+        let dir = std::env::temp_dir().join(format!("eos-pager-rdbuf-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = FileVolume::create(dir.join("v.eos"), 128, 4, DiskProfile::FREE).unwrap();
+        let vols: [&dyn Volume; 2] = [&MemVolume::new(128, 4), &file];
+        for v in vols {
+            for len in [0, 100, 256] {
+                let err = v.read_into(0, 1, &mut vec![0u8; len]).unwrap_err();
+                assert!(
+                    matches!(err, Error::BufferSizeMismatch { len: l, want: 128 } if l == len),
+                    "{len}-byte buffer for a 1-page read: {err:?}"
+                );
+            }
+            assert_eq!(
+                v.stats(),
+                IoStats::default(),
+                "a refused read costs nothing"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn file_volume_open_rejects_a_ragged_file_and_a_zero_page_size() {
+        let dir = std::env::temp_dir().join(format!("eos-pager-ragged-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("v.eos");
+        std::fs::write(&path, vec![0u8; 256 * 3 + 17]).unwrap();
+        for page_size in [256, 0] {
+            assert!(matches!(
+                FileVolume::open(&path, page_size, DiskProfile::FREE),
+                Err(Error::UnalignedBuffer { len: 785, .. })
+            ));
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -17,172 +17,17 @@
 //! a pinned inventory, so adding/removing a sync in eos-core forces
 //! whoever did it to revisit both the L6 annotations and this sweep.
 
+mod common;
+
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
 
+use common::*;
 use eos::core::{LargeObject, ObjectStore, StoreConfig};
-use eos::pager::{DiskProfile, MemVolume, MutatingVolume, SharedVolume};
-
-const PAGE: usize = 512;
-const SPACES: usize = 2;
-const PPS: u64 = 126;
-const WAL_PAGES: u64 = 66;
-const VOLUME_PAGES: u64 = (PPS + 1) * SPACES as u64 + WAL_PAGES;
-
-/// One mutating operation; objects are named by creation order (the
-/// durable store assigns ids 1, 2, … deterministically).
-#[derive(Debug, Clone)]
-enum Op {
-    Create(Vec<u8>),
-    Append(u64, Vec<u8>),
-    Insert(u64, u64, Vec<u8>),
-    Delete(u64, u64, u64),
-    Replace(u64, u64, Vec<u8>),
-    Truncate(u64, u64),
-    DeleteObj(u64),
-}
-
-fn pattern(len: usize, salt: u8) -> Vec<u8> {
-    (0..len)
-        .map(|i| (i as u8).wrapping_mul(37).wrapping_add(salt))
-        .collect()
-}
-
-/// The scripted workload from `crash_sweep.rs`: ten transaction scopes
-/// exercising every §4 operation across page and segment boundaries.
-fn workload() -> Vec<Vec<Op>> {
-    vec![
-        vec![
-            Op::Create(pattern(3 * PAGE + 77, 1)),
-            Op::Create(pattern(40, 2)),
-        ],
-        vec![
-            Op::Append(1, pattern(2 * PAGE, 3)),
-            Op::Insert(1, 700, pattern(300, 4)),
-            Op::Append(2, pattern(PAGE + 13, 5)),
-        ],
-        vec![
-            Op::Replace(1, 100, pattern(64, 6)),
-            Op::Replace(1, PAGE as u64 - 17, pattern(200, 7)),
-            Op::Replace(2, 0, pattern(30, 8)),
-        ],
-        vec![
-            Op::Delete(1, 400, 900),
-            Op::Truncate(2, 300),
-            Op::Replace(1, 0, pattern(128, 9)),
-        ],
-        vec![Op::DeleteObj(2), Op::Create(pattern(2 * PAGE + 11, 10))],
-        vec![
-            Op::Append(3, pattern(500, 11)),
-            Op::Append(3, pattern(4 * PAGE, 12)),
-            Op::Replace(1, 50, pattern(90, 13)),
-        ],
-        vec![
-            Op::Insert(3, PAGE as u64, pattern(700, 14)),
-            Op::Delete(3, 200, 450),
-            Op::Insert(1, 0, pattern(256, 15)),
-            Op::Replace(3, 2 * PAGE as u64 + 5, pattern(300, 16)),
-        ],
-        vec![
-            Op::Create(pattern(PAGE + 200, 17)),
-            Op::Replace(4, 100, pattern(400, 18)),
-            Op::Replace(4, 0, pattern(64, 19)),
-            Op::Append(4, pattern(300, 20)),
-        ],
-        vec![
-            Op::Truncate(3, 900),
-            Op::Delete(1, 500, 800),
-            Op::Truncate(4, 256),
-        ],
-        vec![
-            Op::Replace(1, 10, pattern(48, 21)),
-            Op::Append(3, pattern(150, 22)),
-            Op::Insert(4, 128, pattern(99, 23)),
-        ],
-    ]
-}
-
-/// Apply one op to the byte-level model.
-fn model_apply(model: &mut BTreeMap<u64, Vec<u8>>, next_id: &mut u64, op: &Op) {
-    match op {
-        Op::Create(bytes) => {
-            model.insert(*next_id, bytes.clone());
-            *next_id += 1;
-        }
-        Op::Append(id, bytes) => model.get_mut(id).unwrap().extend_from_slice(bytes),
-        Op::Insert(id, off, bytes) => {
-            let v = model.get_mut(id).unwrap();
-            v.splice(*off as usize..*off as usize, bytes.iter().copied());
-        }
-        Op::Delete(id, off, len) => {
-            let v = model.get_mut(id).unwrap();
-            v.drain(*off as usize..(*off + *len) as usize);
-        }
-        Op::Replace(id, off, bytes) => {
-            let v = model.get_mut(id).unwrap();
-            v[*off as usize..*off as usize + bytes.len()].copy_from_slice(bytes);
-        }
-        Op::Truncate(id, size) => model.get_mut(id).unwrap().truncate(*size as usize),
-        Op::DeleteObj(id) => {
-            model.remove(id);
-        }
-    }
-}
-
-/// Apply one op to the store, mapping object id → live descriptor.
-fn store_apply(
-    store: &mut ObjectStore,
-    handles: &mut BTreeMap<u64, LargeObject>,
-    op: &Op,
-) -> eos::core::Result<()> {
-    match op {
-        Op::Create(bytes) => {
-            let obj = store.create_with(bytes, None)?;
-            handles.insert(obj.id(), obj);
-        }
-        Op::Append(id, bytes) => {
-            let obj = handles.get_mut(id).unwrap();
-            store.append(obj, bytes)?;
-        }
-        Op::Insert(id, off, bytes) => {
-            let obj = handles.get_mut(id).unwrap();
-            store.insert(obj, *off, bytes)?;
-        }
-        Op::Delete(id, off, len) => {
-            let obj = handles.get_mut(id).unwrap();
-            store.delete(obj, *off, *len)?;
-        }
-        Op::Replace(id, off, bytes) => {
-            let obj = handles.get_mut(id).unwrap();
-            store.replace(obj, *off, bytes)?;
-        }
-        Op::Truncate(id, size) => {
-            let obj = handles.get_mut(id).unwrap();
-            store.truncate(obj, *size)?;
-        }
-        Op::DeleteObj(id) => {
-            let mut obj = handles.remove(id).unwrap();
-            store.delete_object(&mut obj)?;
-        }
-    }
-    Ok(())
-}
-
-/// Model snapshots: `states[j]` = object id → bytes after `j` committed
-/// transactions.
-fn model_states() -> Vec<BTreeMap<u64, Vec<u8>>> {
-    let mut states = vec![BTreeMap::new()];
-    let mut model = BTreeMap::new();
-    let mut next_id = 1u64;
-    for txn in workload() {
-        for op in &txn {
-            model_apply(&mut model, &mut next_id, op);
-        }
-        states.push(model.clone());
-    }
-    states
-}
+use eos::pager::{
+    Calls, Cut, DiskProfile, FaultVolume, MemVolume, Persistence, Plan, SharedVolume,
+};
 
 /// Sync-count bookkeeping from one full (pass-through) workload run:
 /// `pre[t]` / `post[t]` = syncs observed before `commit_txn` of txn `t`
@@ -210,24 +55,35 @@ impl SyncTrace {
     }
 }
 
-/// A fresh durable store behind a barrier-mutation wrapper. `elide`
+/// A fresh durable store behind a journaling [`FaultVolume`]. `elide`
 /// arms the mutation *before* the store is formatted, so the format and
 /// checkpoint syncs are part of the enumerated site space too.
-fn fresh_store(elide: Option<usize>) -> (ObjectStore, Arc<MutatingVolume>) {
+fn fresh_store(elide: Option<usize>) -> (ObjectStore, Arc<FaultVolume>) {
     let mem = MemVolume::with_profile(PAGE, VOLUME_PAGES, DiskProfile::FREE).shared();
-    let mv = MutatingVolume::new(mem).unwrap();
+    let mut plan = Plan::new().journal_images();
     if let Some(k) = elide {
-        mv.elide(k);
+        plan = plan.elide_sync(k as u64);
     }
+    let mv = FaultVolume::with_plan(mem, plan).unwrap();
     let vol: SharedVolume = mv.clone();
     let store =
         ObjectStore::create_durable(vol, SPACES, PPS, StoreConfig::default(), WAL_PAGES).unwrap();
     (store, mv)
 }
 
-/// Run the scripted workload to completion (the wrapper is
-/// pass-through, so nothing fails live) and record the sync trace.
-fn run_workload(store: &mut ObjectStore, mv: &MutatingVolume) -> SyncTrace {
+/// Syncs observed (forwarded or elided) since the store was formatted.
+fn sync_count(mv: &FaultVolume) -> usize {
+    mv.seen(Calls::Syncs) as usize
+}
+
+/// The crash image "power died after sync `m` fired" under `model`.
+fn crash_image(mv: &FaultVolume, m: usize, model: Persistence) -> Vec<u8> {
+    mv.image(Cut::AfterSync(m as u64), model).unwrap()
+}
+
+/// Run the scripted workload to completion (an elided sync still
+/// returns `Ok`, so nothing fails live) and record the sync trace.
+fn run_workload(store: &mut ObjectStore, mv: &FaultVolume) -> SyncTrace {
     let mut handles = BTreeMap::new();
     let mut trace = SyncTrace {
         pre: Vec::new(),
@@ -238,9 +94,9 @@ fn run_workload(store: &mut ObjectStore, mv: &MutatingVolume) -> SyncTrace {
         for op in &txn {
             store_apply(store, &mut handles, op).unwrap();
         }
-        trace.pre.push(mv.sync_count());
+        trace.pre.push(sync_count(mv));
         store.commit_txn().unwrap();
-        trace.post.push(mv.sync_count());
+        trace.post.push(sync_count(mv));
     }
     trace
 }
@@ -294,12 +150,12 @@ fn image_violates(
 fn baseline_images_all_recover() {
     let states = model_states();
     let (mut store, mv) = fresh_store(None);
-    let format_syncs = mv.sync_count();
+    let format_syncs = sync_count(&mv);
     assert!(format_syncs >= 1, "format must sync at least once");
     let trace = run_workload(&mut store, &mv);
     drop(store);
 
-    let sealed = mv.sealed_groups();
+    let sealed = sync_count(&mv);
     assert_eq!(
         states.last().unwrap().len(),
         3,
@@ -307,15 +163,20 @@ fn baseline_images_all_recover() {
     );
     for m in format_syncs - 1..sealed {
         assert!(
-            !image_violates(mv.crash_image(m), &states, &trace, m),
+            !image_violates(
+                crash_image(&mv, m, Persistence::SealedOnly),
+                &states,
+                &trace,
+                m
+            ),
             "baseline image after sync {m} (of {sealed}) failed recovery"
         );
     }
 }
 
 /// The sweep: elide each sync site in turn and demand at least one
-/// failing crash image. `crash_image` (the whole unsealed group stayed
-/// in the queue) is tried first; `crash_image_reordered` (the queue was
+/// failing crash image. `SealedOnly` (the whole unsealed group stayed
+/// in the queue) is tried first; `ReorderedTail` (the queue was
 /// reordered and only the group's last write jumped the dead barrier)
 /// is the fallback ordering.
 #[test]
@@ -327,7 +188,7 @@ fn every_sync_site_is_load_bearing() {
     let (mut store, mv) = fresh_store(None);
     run_workload(&mut store, &mv);
     drop(store);
-    let total = mv.sealed_groups();
+    let total = sync_count(&mv);
     println!("barrier mutation: {total} sync sites enumerated");
     assert!(total >= 10, "too few sync sites for a meaningful sweep");
 
@@ -337,7 +198,7 @@ fn every_sync_site_is_load_bearing() {
         let trace = run_workload(&mut store, &mv);
         drop(store);
         assert_eq!(
-            mv.sealed_groups(),
+            sync_count(&mv),
             total,
             "k={k}: workload must be deterministic in its sync count"
         );
@@ -354,16 +215,24 @@ fn every_sync_site_is_load_bearing() {
 }
 
 fn elision_breaks_some_image(
-    mv: &MutatingVolume,
+    mv: &FaultVolume,
     states: &[BTreeMap<u64, Vec<u8>>],
     trace: &SyncTrace,
     k: usize,
     total: usize,
 ) -> bool {
     for m in k..total {
-        if image_violates(mv.crash_image(m), states, trace, m)
-            || image_violates(mv.crash_image_reordered(m), states, trace, m)
-        {
+        if image_violates(
+            crash_image(mv, m, Persistence::SealedOnly),
+            states,
+            trace,
+            m,
+        ) || image_violates(
+            crash_image(mv, m, Persistence::ReorderedTail),
+            states,
+            trace,
+            m,
+        ) {
             return true;
         }
     }
@@ -381,7 +250,7 @@ fn quick_pinned_barriers_each_break_recovery() {
     let (mut store, mv) = fresh_store(None);
     let trace = run_workload(&mut store, &mv);
     drop(store);
-    let total = mv.sealed_groups();
+    let total = sync_count(&mv);
 
     // txn 3 (index 2) is pure in-place replaces: its first sync is the
     // undo-image WAL force; its commit's last two syncs are the
@@ -473,15 +342,15 @@ fn quick_static_seal_census_matches_runtime() {
     // Runtime side: the canonical workload crosses the format sync plus
     // at least one undo force, data barrier, and commit force per txn.
     let (mut store, mv) = fresh_store(None);
-    let format_syncs = mv.sync_count();
+    let format_syncs = sync_count(&mv);
     let trace = run_workload(&mut store, &mv);
     drop(store);
     assert!(format_syncs >= 1);
     assert!(
-        mv.sync_count() >= format_syncs + 2 * workload().len(),
+        sync_count(&mv) >= format_syncs + 2 * workload().len(),
         "workload crossed only {} sync sites — too few to exercise the \
          declared barriers",
-        mv.sync_count()
+        sync_count(&mv)
     );
     assert_eq!(trace.post.len(), workload().len());
 }

@@ -2,13 +2,12 @@
 //! multi-reader stress test against a single-threaded replay, plus the
 //! commit-path failure drills (log-full mid-commit must abort cleanly).
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use eos::core::durable::WalEntry;
 use eos::core::{ConcurrentStore, Error, ObjectStore, StoreConfig};
 use eos::obs::Metrics;
-use eos::pager::{DiskProfile, MemVolume, SharedVolume, ThrottledVolume};
+use eos::pager::{DiskProfile, FaultVolume, MemVolume, Plan, SharedVolume};
 
 fn pattern(seed: u64, len: usize) -> Vec<u8> {
     (0..len)
@@ -112,8 +111,8 @@ fn seeded_multiwriter_stress_matches_serial_replay() {
     let run = |concurrent: bool| -> Vec<Vec<u8>> {
         let inner: SharedVolume =
             MemVolume::with_profile(1024, (1024 + 1) * 2 + 62, DiskProfile::FREE).shared();
-        let throttled = Arc::new(ThrottledVolume::new(inner, Duration::from_micros(300)));
-        let volume: SharedVolume = throttled.clone();
+        let throttle = Plan::new().sync_delay(Duration::from_micros(300));
+        let volume: SharedVolume = FaultVolume::with_plan(inner, throttle).unwrap();
         let mut store = ObjectStore::create_durable(
             volume,
             2,
@@ -279,8 +278,8 @@ fn sixteen_writer_striped_stress_matches_serial_replay() {
         let run = |concurrent: bool| -> Vec<Vec<u8>> {
             let inner: SharedVolume =
                 MemVolume::with_profile(1024, (1024 + 1) * 4 + 8 * 62, DiskProfile::FREE).shared();
-            let throttled = Arc::new(ThrottledVolume::new(inner, Duration::from_micros(100)));
-            let volume: SharedVolume = throttled.clone();
+            let throttle = Plan::new().sync_delay(Duration::from_micros(100));
+            let volume: SharedVolume = FaultVolume::with_plan(inner, throttle).unwrap();
             let store = ObjectStore::create_durable(
                 volume,
                 4,

@@ -2,8 +2,10 @@
 //! transactional create/append/insert/delete/replace/delete-object
 //! operations against a durable store, simulate a power loss after
 //! exactly *k* page writes — for **every** k the workload performs, and
-//! for both clean and torn final writes — then reopen the half-written
-//! volume, run restart recovery, and assert:
+//! for every [`Scenario`]: the final write vanishing, the final write
+//! torn, and the device losing everything it had not been told to sync
+//! — then reopen the half-written volume, run restart recovery, and
+//! assert:
 //!
 //! 1. every transaction whose commit returned success before the crash
 //!    is present byte-for-byte (committed-prefix equality);
@@ -12,177 +14,35 @@
 //!    (the limbo window §4.5 allows), never a byte-mixture;
 //! 3. `eos-check` finds nothing wrong with the recovered volume.
 
+mod common;
+
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use common::*;
 use eos::core::{ConcurrentStore, LargeObject, ObjectStore, StoreConfig};
-use eos::pager::{CrashPointVolume, DiskProfile, MemVolume, SharedVolume};
-
-const PAGE: usize = 512;
-const SPACES: usize = 2;
-const PPS: u64 = 126;
-const WAL_PAGES: u64 = 66;
-const VOLUME_PAGES: u64 = (PPS + 1) * SPACES as u64 + WAL_PAGES;
+use eos::pager::{
+    Calls, Cut, DiskProfile, FaultVolume, MemVolume, Persistence, Plan, SharedVolume,
+};
 
 // The striped variant runs two WAL stripes; each slice gets the full
 // single-log capacity so checkpoint pressure stays comparable.
 const STRIPED_WAL_PAGES: u64 = 2 * WAL_PAGES;
 const STRIPED_VOLUME_PAGES: u64 = (PPS + 1) * SPACES as u64 + STRIPED_WAL_PAGES;
 
-fn striped_config() -> StoreConfig {
-    StoreConfig {
+/// `(config, WAL pages, volume pages)` of a sweep's store.
+type Geometry = (StoreConfig, u64, u64);
+
+fn single_log() -> Geometry {
+    (StoreConfig::default(), WAL_PAGES, VOLUME_PAGES)
+}
+
+fn striped() -> Geometry {
+    let config = StoreConfig {
         wal_stripes: 2,
         ..StoreConfig::default()
-    }
-}
-
-/// One mutating operation; objects are named by creation order (the
-/// durable store assigns ids 1, 2, … deterministically).
-#[derive(Debug, Clone)]
-enum Op {
-    Create(Vec<u8>),
-    Append(u64, Vec<u8>),
-    Insert(u64, u64, Vec<u8>),
-    Delete(u64, u64, u64),
-    Replace(u64, u64, Vec<u8>),
-    Truncate(u64, u64),
-    DeleteObj(u64),
-}
-
-fn pattern(len: usize, salt: u8) -> Vec<u8> {
-    (0..len)
-        .map(|i| (i as u8).wrapping_mul(37).wrapping_add(salt))
-        .collect()
-}
-
-/// The scripted workload: a handful of transaction scopes exercising
-/// every §4 operation, sized to cross page and segment boundaries.
-fn workload() -> Vec<Vec<Op>> {
-    vec![
-        // txn 1: two objects are born
-        vec![
-            Op::Create(pattern(3 * PAGE + 77, 1)),
-            Op::Create(pattern(40, 2)),
-        ],
-        // txn 2: growth and a mid-object insert
-        vec![
-            Op::Append(1, pattern(2 * PAGE, 3)),
-            Op::Insert(1, 700, pattern(300, 4)),
-            Op::Append(2, pattern(PAGE + 13, 5)),
-        ],
-        // txn 3: in-place replaces, straddling a page boundary
-        vec![
-            Op::Replace(1, 100, pattern(64, 6)),
-            Op::Replace(1, PAGE as u64 - 17, pattern(200, 7)),
-            Op::Replace(2, 0, pattern(30, 8)),
-        ],
-        // txn 4: shrink from the middle and the end
-        vec![
-            Op::Delete(1, 400, 900),
-            Op::Truncate(2, 300),
-            Op::Replace(1, 0, pattern(128, 9)),
-        ],
-        // txn 5: one object dies, a third is born
-        vec![Op::DeleteObj(2), Op::Create(pattern(2 * PAGE + 11, 10))],
-        // txn 6: growth spurt on the newcomer, multi-segment appends
-        vec![
-            Op::Append(3, pattern(500, 11)),
-            Op::Append(3, pattern(4 * PAGE, 12)),
-            Op::Replace(1, 50, pattern(90, 13)),
-        ],
-        // txn 7: churn that forces reshuffling around segment seams
-        vec![
-            Op::Insert(3, PAGE as u64, pattern(700, 14)),
-            Op::Delete(3, 200, 450),
-            Op::Insert(1, 0, pattern(256, 15)),
-            Op::Replace(3, 2 * PAGE as u64 + 5, pattern(300, 16)),
-        ],
-        // txn 8: a fourth object, then heavy in-place traffic
-        vec![
-            Op::Create(pattern(PAGE + 200, 17)),
-            Op::Replace(4, 100, pattern(400, 18)),
-            Op::Replace(4, 0, pattern(64, 19)),
-            Op::Append(4, pattern(300, 20)),
-        ],
-        // txn 9: shrink everything back down
-        vec![
-            Op::Truncate(3, 900),
-            Op::Delete(1, 500, 800),
-            Op::Truncate(4, 256),
-        ],
-        // txn 10: final touches on every survivor
-        vec![
-            Op::Replace(1, 10, pattern(48, 21)),
-            Op::Append(3, pattern(150, 22)),
-            Op::Insert(4, 128, pattern(99, 23)),
-        ],
-    ]
-}
-
-/// Apply one op to the byte-level model.
-fn model_apply(model: &mut BTreeMap<u64, Vec<u8>>, next_id: &mut u64, op: &Op) {
-    match op {
-        Op::Create(bytes) => {
-            model.insert(*next_id, bytes.clone());
-            *next_id += 1;
-        }
-        Op::Append(id, bytes) => model.get_mut(id).unwrap().extend_from_slice(bytes),
-        Op::Insert(id, off, bytes) => {
-            let v = model.get_mut(id).unwrap();
-            v.splice(*off as usize..*off as usize, bytes.iter().copied());
-        }
-        Op::Delete(id, off, len) => {
-            let v = model.get_mut(id).unwrap();
-            v.drain(*off as usize..(*off + *len) as usize);
-        }
-        Op::Replace(id, off, bytes) => {
-            let v = model.get_mut(id).unwrap();
-            v[*off as usize..*off as usize + bytes.len()].copy_from_slice(bytes);
-        }
-        Op::Truncate(id, size) => model.get_mut(id).unwrap().truncate(*size as usize),
-        Op::DeleteObj(id) => {
-            model.remove(id);
-        }
-    }
-}
-
-/// Apply one op to the store. Handles map object id → live descriptor.
-fn store_apply(
-    store: &mut ObjectStore,
-    handles: &mut BTreeMap<u64, LargeObject>,
-    op: &Op,
-) -> eos::core::Result<()> {
-    match op {
-        Op::Create(bytes) => {
-            let obj = store.create_with(bytes, None)?;
-            handles.insert(obj.id(), obj);
-        }
-        Op::Append(id, bytes) => {
-            let obj = handles.get_mut(id).unwrap();
-            store.append(obj, bytes)?;
-        }
-        Op::Insert(id, off, bytes) => {
-            let obj = handles.get_mut(id).unwrap();
-            store.insert(obj, *off, bytes)?;
-        }
-        Op::Delete(id, off, len) => {
-            let obj = handles.get_mut(id).unwrap();
-            store.delete(obj, *off, *len)?;
-        }
-        Op::Replace(id, off, bytes) => {
-            let obj = handles.get_mut(id).unwrap();
-            store.replace(obj, *off, bytes)?;
-        }
-        Op::Truncate(id, size) => {
-            let obj = handles.get_mut(id).unwrap();
-            store.truncate(obj, *size)?;
-        }
-        Op::DeleteObj(id) => {
-            let mut obj = handles.remove(id).unwrap();
-            store.delete_object(&mut obj)?;
-        }
-    }
-    Ok(())
+    };
+    (config, STRIPED_WAL_PAGES, STRIPED_VOLUME_PAGES)
 }
 
 /// Where the crash error (if any) surfaced.
@@ -215,52 +75,54 @@ fn run_ops(store: &mut ObjectStore, txns: &[Vec<Op>]) -> Outcome {
     Outcome::Completed
 }
 
-fn run_workload(store: &mut ObjectStore) -> Outcome {
-    run_ops(store, &workload())
+/// How the power dies at write `k`, and what the device kept.
+#[derive(Debug, Clone, Copy)]
+enum Scenario {
+    /// Write `k` vanishes; everything before it is on disk.
+    Clean,
+    /// Half of write `k`'s first page lands; everything before it is
+    /// on disk.
+    Torn,
+    /// Write `k` vanishes, and so does every write since the last
+    /// sync: the device had a volatile cache.
+    LostUnsynced,
 }
 
-/// Model snapshots: `states[j]` = object id → bytes after `j` committed
-/// transactions.
-fn model_states_for(txns: &[Vec<Op>]) -> Vec<BTreeMap<u64, Vec<u8>>> {
-    let mut states = vec![BTreeMap::new()];
-    let mut model = BTreeMap::new();
-    let mut next_id = 1u64;
-    for txn in txns {
-        for op in txn {
-            model_apply(&mut model, &mut next_id, op);
-        }
-        states.push(model.clone());
+impl Scenario {
+    const ALL: [Scenario; 3] = [Scenario::Clean, Scenario::Torn, Scenario::LostUnsynced];
+
+    /// Arm `gate` to die at write `k` (`u64::MAX`: never — a counting
+    /// run), journaling what [`Self::image`] needs.
+    fn arm(self, gate: &FaultVolume, k: u64) {
+        let torn = matches!(self, Scenario::Torn);
+        gate.arm(Plan::new().power_cut(k, torn).journal_images())
+            .unwrap();
     }
-    states
+
+    /// The disk as of the power loss.
+    fn image(self, gate: &FaultVolume) -> Vec<u8> {
+        let model = match self {
+            Scenario::Clean | Scenario::Torn => Persistence::InOrder,
+            Scenario::LostUnsynced => Persistence::SealedOnly,
+        };
+        gate.image(Cut::End, model).unwrap()
+    }
 }
 
-fn model_states() -> Vec<BTreeMap<u64, Vec<u8>>> {
-    model_states_for(&workload())
-}
-
-/// A fresh durable store on a crash-point gate over an in-memory
+/// A fresh durable store on a fault-injection gate over an in-memory
 /// volume.
-fn fresh_store_with(
-    config: StoreConfig,
-    wal_pages: u64,
-    volume_pages: u64,
-) -> (ObjectStore, Arc<CrashPointVolume>) {
+fn fresh_store((config, wal_pages, volume_pages): Geometry) -> (ObjectStore, Arc<FaultVolume>) {
     let mem = MemVolume::with_profile(PAGE, volume_pages, DiskProfile::FREE).shared();
-    let gate = CrashPointVolume::new(mem);
+    let gate = FaultVolume::new(mem);
     let vol: SharedVolume = gate.clone();
     let store = ObjectStore::create_durable(vol, SPACES, PPS, config, wal_pages).unwrap();
     (store, gate)
 }
 
-fn fresh_store() -> (ObjectStore, Arc<CrashPointVolume>) {
-    fresh_store_with(StoreConfig::default(), WAL_PAGES, VOLUME_PAGES)
-}
-
 /// Recover the post-crash disk image and return (store, id → bytes).
-fn recover_with(
+fn recover(
     image: Vec<u8>,
-    config: StoreConfig,
-    wal_pages: u64,
+    (config, wal_pages, _): Geometry,
 ) -> (ObjectStore, BTreeMap<u64, Vec<u8>>, Vec<LargeObject>) {
     let vol = MemVolume::from_bytes(PAGE, image, DiskProfile::FREE).shared();
     let (store, report) = ObjectStore::open_durable(vol, SPACES, PPS, config, wal_pages)
@@ -270,10 +132,6 @@ fn recover_with(
         bytes.insert(obj.id(), store.read_all(obj).unwrap());
     }
     (store, bytes, report.objects)
-}
-
-fn recover(image: Vec<u8>) -> (ObjectStore, BTreeMap<u64, Vec<u8>>, Vec<LargeObject>) {
-    recover_with(image, StoreConfig::default(), WAL_PAGES)
 }
 
 fn assert_checker_clean(store: &ObjectStore, objects: &[LargeObject], ctx: &str) {
@@ -289,63 +147,72 @@ fn assert_checker_clean(store: &ObjectStore, objects: &[LargeObject], ctx: &str)
     );
 }
 
-#[test]
-fn crash_sweep_every_io_point() {
-    let states = model_states();
-
-    // Baseline run, unarmed: count the workload's I/O points and sanity
-    // check the final state.
-    let (mut store, gate) = fresh_store();
-    gate.arm(u64::MAX, false); // counting only; u64::MAX never fires
-    assert_eq!(run_workload(&mut store), Outcome::Completed);
-    let total_writes = gate.writes_seen();
-    drop(store);
+/// The sweep itself, shared by every workload: one counting run to
+/// size it and pin the end state, then one run per I/O point `k` and
+/// [`Scenario`], each recovered and held to the oracle in the module
+/// docs. `run` drives a fresh store through the workload and reports
+/// where the crash surfaced; `states[j]` is the model after `j`
+/// committed transactions. Returns the number of I/O points.
+fn sweep(
+    label: &str,
+    geometry: Geometry,
+    states: &[BTreeMap<u64, Vec<u8>>],
+    run: impl Fn(ObjectStore) -> Outcome,
+) -> u64 {
+    let (store, gate) = fresh_store(geometry);
+    Scenario::Clean.arm(&gate, u64::MAX);
+    assert_eq!(run(store), Outcome::Completed);
+    let total_writes = gate.seen(Calls::Writes);
     println!(
-        "crash sweep: {total_writes} I/O points, clean + torn = {} scenarios",
-        2 * total_writes
+        "{label}: {total_writes} I/O points x {{clean, torn, lost-unsynced}} = {} scenarios",
+        Scenario::ALL.len() as u64 * total_writes
     );
-    assert!(
-        total_writes >= 100,
-        "workload too small for a meaningful sweep: {total_writes} writes"
-    );
-    let (_, final_bytes, _) = recover(gate.image().unwrap());
-    assert_eq!(
-        &final_bytes,
-        states.last().unwrap(),
-        "unarmed run end state"
-    );
+    let (_, final_bytes, _) = recover(Scenario::Clean.image(&gate), geometry);
+    assert_eq!(&final_bytes, states.last().unwrap(), "{label}: end state");
 
-    for torn in [false, true] {
+    for scenario in Scenario::ALL {
         for k in 0..total_writes {
-            let (mut store, gate) = fresh_store();
-            gate.arm(k, torn);
-            let outcome = run_workload(&mut store);
-            drop(store);
-            assert!(
-                gate.has_crashed(),
-                "k={k} torn={torn}: the armed crash never fired"
-            );
-            let (rstore, recovered, objects) = recover(gate.image().unwrap());
+            let ctx = format!("{label} k={k} {scenario:?}");
+            let (store, gate) = fresh_store(geometry);
+            scenario.arm(&gate, k);
+            let outcome = run(store);
+            assert!(gate.has_crashed(), "{ctx}: the armed crash never fired");
+            let (rstore, recovered, objects) = recover(scenario.image(&gate), geometry);
 
             let committed = match outcome {
-                Outcome::Completed => {
-                    panic!("k={k} torn={torn}: workload completed despite the crash")
-                }
+                Outcome::Completed => panic!("{ctx}: workload completed despite the crash"),
                 Outcome::CrashedInTxn(n) | Outcome::CrashedInCommit(n) => n,
             };
+            // In commit limbo a cross-stripe scope has one extra legal
+            // outcome a single log never sees: all parts durable →
+            // present (states[committed + 1]); any part missing →
+            // presumed abort → absent (states[committed]). Both reduce
+            // to the same prefix-or-successor assertion.
             let limbo_ok = matches!(outcome, Outcome::CrashedInCommit(_))
                 && recovered == states[committed + 1];
             assert!(
                 recovered == states[committed] || limbo_ok,
-                "k={k} torn={torn}: recovered state matches neither the \
-                 {committed}-txn prefix nor (in commit limbo) the next one.\n\
+                "{ctx}: recovered state matches neither the {committed}-txn \
+                 prefix nor (in commit limbo) the next one.\n\
                  recovered ids: {:?}\nexpected ids: {:?}",
                 recovered.keys().collect::<Vec<_>>(),
                 states[committed].keys().collect::<Vec<_>>(),
             );
-            assert_checker_clean(&rstore, &objects, &format!("k={k} torn={torn}"));
+            assert_checker_clean(&rstore, &objects, &ctx);
         }
     }
+    total_writes
+}
+
+#[test]
+fn crash_sweep_every_io_point() {
+    let total_writes = sweep("crash sweep", single_log(), &model_states(), |mut store| {
+        run_ops(&mut store, &workload())
+    });
+    assert!(
+        total_writes >= 100,
+        "workload too small for a meaningful sweep: {total_writes} writes"
+    );
 }
 
 // ---- Striped-WAL crash sweep (DESIGN.md §17, FORMAT.md §Striped WAL) -------
@@ -410,69 +277,23 @@ fn striped_workload() -> Vec<Vec<Op>> {
 /// Tentpole satellite: crash at every write I/O point of a two-stripe
 /// log whose commits force the stripes together — part appends, the
 /// per-stripe commit barriers, and the data-page traffic in between —
-/// for clean and torn final writes. Recovery must merge the stripes by
+/// under every [`Scenario`]. Recovery must merge the stripes by
 /// global LSN, presume abort on any incomplete cross-stripe part set,
 /// and land every image on a committed prefix (or the §4.5 limbo
 /// successor) with `eos-check` clean.
 #[test]
 fn crash_sweep_striped_wal_two_stripes() {
     let txns = striped_workload();
-    let states = model_states_for(&txns);
-
-    // Unarmed counting run.
-    let (mut store, gate) =
-        fresh_store_with(striped_config(), STRIPED_WAL_PAGES, STRIPED_VOLUME_PAGES);
-    gate.arm(u64::MAX, false);
-    assert_eq!(run_ops(&mut store, &txns), Outcome::Completed);
-    let total_writes = gate.writes_seen();
-    drop(store);
-    println!("striped crash sweep: {total_writes} I/O points across 2 stripes, clean + torn");
+    let total_writes = sweep(
+        "striped crash sweep (2 stripes)",
+        striped(),
+        &model_states_for(&txns),
+        |mut store| run_ops(&mut store, &txns),
+    );
     assert!(
         total_writes >= 60,
         "striped workload too small for a meaningful sweep: {total_writes} writes"
     );
-    let (_, final_bytes, _) =
-        recover_with(gate.image().unwrap(), striped_config(), STRIPED_WAL_PAGES);
-    assert_eq!(&final_bytes, states.last().unwrap(), "unarmed end state");
-
-    for torn in [false, true] {
-        for k in 0..total_writes {
-            let (mut store, gate) =
-                fresh_store_with(striped_config(), STRIPED_WAL_PAGES, STRIPED_VOLUME_PAGES);
-            gate.arm(k, torn);
-            let outcome = run_ops(&mut store, &txns);
-            drop(store);
-            assert!(
-                gate.has_crashed(),
-                "striped k={k} torn={torn}: the armed crash never fired"
-            );
-            let (rstore, recovered, objects) =
-                recover_with(gate.image().unwrap(), striped_config(), STRIPED_WAL_PAGES);
-
-            let committed = match outcome {
-                Outcome::Completed => {
-                    panic!("striped k={k} torn={torn}: workload completed despite the crash")
-                }
-                Outcome::CrashedInTxn(n) | Outcome::CrashedInCommit(n) => n,
-            };
-            // In commit limbo a cross-stripe scope has one extra legal
-            // outcome the single-log sweep never sees: all parts durable
-            // → present (states[committed + 1]); any part missing →
-            // presumed abort → absent (states[committed]). Both reduce
-            // to the same prefix-or-successor assertion.
-            let limbo_ok = matches!(outcome, Outcome::CrashedInCommit(_))
-                && recovered == states[committed + 1];
-            assert!(
-                recovered == states[committed] || limbo_ok,
-                "striped k={k} torn={torn}: recovered state matches neither the \
-                 {committed}-txn prefix nor (in commit limbo) the next one.\n\
-                 recovered ids: {:?}\nexpected ids: {:?}",
-                recovered.keys().collect::<Vec<_>>(),
-                states[committed].keys().collect::<Vec<_>>(),
-            );
-            assert_checker_clean(&rstore, &objects, &format!("striped k={k} torn={torn}"));
-        }
-    }
 }
 
 // ---- MVCC publication/reclaim crash sweep (DESIGN.md §14) ------------------
@@ -582,55 +403,16 @@ fn mvcc_model_states() -> Vec<BTreeMap<u64, Vec<u8>>> {
 /// as leaks.
 #[test]
 fn crash_sweep_mvcc_publish_and_reclaim() {
-    let states = mvcc_model_states();
-
-    // Unarmed counting run.
-    let (store, gate) = fresh_store();
-    gate.arm(u64::MAX, false);
-    let cs = ConcurrentStore::new(store);
-    assert_eq!(run_mvcc_workload(&cs), Outcome::Completed);
-    drop(cs);
-    let total_writes = gate.writes_seen();
-    println!("mvcc crash sweep: {total_writes} I/O points, clean + torn");
+    let total_writes = sweep(
+        "mvcc crash sweep",
+        single_log(),
+        &mvcc_model_states(),
+        |store| run_mvcc_workload(&ConcurrentStore::new(store)),
+    );
     assert!(
         total_writes >= 40,
         "MVCC workload too small for a meaningful sweep: {total_writes} writes"
     );
-    let (_, final_bytes, _) = recover(gate.image().unwrap());
-    assert_eq!(&final_bytes, states.last().unwrap(), "unarmed end state");
-
-    for torn in [false, true] {
-        for k in 0..total_writes {
-            let (store, gate) = fresh_store();
-            gate.arm(k, torn);
-            let cs = ConcurrentStore::new(store);
-            let outcome = run_mvcc_workload(&cs);
-            drop(cs);
-            assert!(
-                gate.has_crashed(),
-                "mvcc k={k} torn={torn}: the armed crash never fired"
-            );
-            let (rstore, recovered, objects) = recover(gate.image().unwrap());
-
-            let committed = match outcome {
-                Outcome::Completed => {
-                    panic!("mvcc k={k} torn={torn}: workload completed despite the crash")
-                }
-                Outcome::CrashedInTxn(n) | Outcome::CrashedInCommit(n) => n,
-            };
-            let limbo_ok = matches!(outcome, Outcome::CrashedInCommit(_))
-                && recovered == states[committed + 1];
-            assert!(
-                recovered == states[committed] || limbo_ok,
-                "mvcc k={k} torn={torn}: recovered state matches neither the \
-                 {committed}-txn prefix nor (in commit limbo) the next one.\n\
-                 recovered ids: {:?}\nexpected ids: {:?}",
-                recovered.keys().collect::<Vec<_>>(),
-                states[committed].keys().collect::<Vec<_>>(),
-            );
-            assert_checker_clean(&rstore, &objects, &format!("mvcc k={k} torn={torn}"));
-        }
-    }
 }
 
 /// Recovery is idempotent even when the power dies again *during*
@@ -640,8 +422,8 @@ fn crash_sweep_mvcc_publish_and_reclaim() {
 fn crash_sweep_double_crash_during_recovery() {
     // First-generation crash image: power loss mid-way through txn 3
     // (the replace transaction — the one with undo work to redo).
-    let (mut store, gate) = fresh_store();
-    gate.arm(u64::MAX, false);
+    let (mut store, gate) = fresh_store(single_log());
+    Scenario::Clean.arm(&gate, u64::MAX);
     let mut handles = BTreeMap::new();
     let txns = workload();
     for txn in txns.iter().take(3) {
@@ -657,42 +439,36 @@ fn crash_sweep_double_crash_during_recovery() {
         store_apply(&mut store, &mut handles, op).unwrap();
     }
     drop(store);
-    let image = gate.image().unwrap();
+    let image = Scenario::Clean.image(&gate);
 
-    // Count recovery's own writes.
-    let mem = MemVolume::from_bytes(PAGE, image.clone(), DiskProfile::FREE).shared();
-    let gate = CrashPointVolume::new(mem);
-    gate.arm(u64::MAX, false);
-    let v: SharedVolume = gate.clone();
-    let (_s, _r) =
-        ObjectStore::open_durable(v, SPACES, PPS, StoreConfig::default(), WAL_PAGES).unwrap();
-    let recovery_writes = gate.writes_seen();
+    // Recovery is the workload: reopen the first-generation image
+    // through a gate armed to die at recovery's own write `k`.
+    let recover_through_gate = |scenario: Scenario, k: u64| {
+        let mem = MemVolume::from_bytes(PAGE, image.clone(), DiskProfile::FREE).shared();
+        let gate = FaultVolume::new(mem);
+        scenario.arm(&gate, k);
+        let v: SharedVolume = gate.clone();
+        let opened = ObjectStore::open_durable(v, SPACES, PPS, StoreConfig::default(), WAL_PAGES);
+        (opened.is_ok(), gate)
+    };
+    let (finished, gate) = recover_through_gate(Scenario::Clean, u64::MAX);
+    assert!(finished);
+    let recovery_writes = gate.seen(Calls::Writes);
     assert!(recovery_writes > 0);
     println!("double-crash sweep: {recovery_writes} I/O points inside recovery");
 
     let states = model_states();
-    for torn in [false, true] {
+    for scenario in Scenario::ALL {
         for k in 0..recovery_writes {
-            let mem = MemVolume::from_bytes(PAGE, image.clone(), DiskProfile::FREE).shared();
-            let gate = CrashPointVolume::new(mem);
-            gate.arm(k, torn);
-            let v: SharedVolume = gate.clone();
-            let crashed =
-                ObjectStore::open_durable(v, SPACES, PPS, StoreConfig::default(), WAL_PAGES);
-            assert!(
-                crashed.is_err(),
-                "k={k} torn={torn}: recovery finished despite the crash"
-            );
-            let (rstore, recovered, objects) = recover(gate.image().unwrap());
+            let ctx = format!("double-crash k={k} {scenario:?}");
+            let (finished, gate) = recover_through_gate(scenario, k);
+            assert!(!finished, "{ctx}: recovery finished despite the crash");
+            let (rstore, recovered, objects) = recover(scenario.image(&gate), single_log());
             assert_eq!(
                 recovered, states[3],
-                "k={k} torn={torn}: second recovery must land on the 3-txn prefix"
+                "{ctx}: second recovery must land on the 3-txn prefix"
             );
-            assert_checker_clean(
-                &rstore,
-                &objects,
-                &format!("double-crash k={k} torn={torn}"),
-            );
+            assert_checker_clean(&rstore, &objects, &ctx);
         }
     }
 }

@@ -19,7 +19,7 @@ use std::time::Duration;
 
 use eos::core::{ConcurrentStore, Error, LargeObject, ObjectStore, StoreConfig};
 use eos::obs::Metrics;
-use eos::pager::{DiskProfile, MemVolume, SharedVolume, ThrottledVolume};
+use eos::pager::{Calls, DiskProfile, Entry, FaultVolume, MemVolume, Plan, SharedVolume};
 
 fn pattern(seed: u8, len: usize) -> Vec<u8> {
     (0..len)
@@ -27,18 +27,18 @@ fn pattern(seed: u8, len: usize) -> Vec<u8> {
         .collect()
 }
 
-/// A durable store on a throttled in-memory volume, with its own
-/// metrics domain so the `mvcc.*` / `locks.*` assertions are not
-/// polluted by other tests in the process.
-fn durable_store(metrics: &Metrics) -> ObjectStore {
+/// A durable store on an in-memory volume behind a [`FaultVolume`]
+/// armed with `plan`, with its own metrics domain so the `mvcc.*` /
+/// `locks.*` assertions are not polluted by other tests in the process.
+fn store_on(plan: Plan, metrics: &Metrics) -> (ObjectStore, Arc<FaultVolume>) {
     // Four buddy spaces: parked deferred-free batches keep superseded
     // pages *allocated* until the stalled reader drops, so the churn
     // tests need roughly double the live working set.
     let inner: SharedVolume =
         MemVolume::with_profile(1024, (1024 + 1) * 4 + 62, DiskProfile::FREE).shared();
-    let volume: SharedVolume = Arc::new(ThrottledVolume::new(inner, Duration::from_micros(50)));
+    let volume = FaultVolume::with_plan(inner, plan).unwrap();
     let mut store = ObjectStore::create_durable(
-        volume,
+        volume.clone(),
         4,
         1024,
         StoreConfig {
@@ -49,7 +49,12 @@ fn durable_store(metrics: &Metrics) -> ObjectStore {
     )
     .unwrap();
     store.set_metrics(metrics);
-    store
+    (store, volume)
+}
+
+/// The default substrate: every sync costs 50 µs.
+fn durable_store(metrics: &Metrics) -> ObjectStore {
+    store_on(Plan::new().sync_delay(Duration::from_micros(50)), metrics).0
 }
 
 fn check_clean(cs: ConcurrentStore, named: &[(String, LargeObject)]) {
@@ -311,7 +316,7 @@ fn solo_commit_is_a_group_commit_batch_of_one() {
         let (mut store, recorder) = recorder_store(&metrics);
         let mut a = store.create_with(&pattern(41, 20_000), None).unwrap();
         let cs = ConcurrentStore::with_group_commit(store, group);
-        recorder.take();
+        take_events(&recorder);
 
         let txn = cs.begin();
         let mut b = txn.create(&pattern(42, 6_000), None).unwrap();
@@ -332,14 +337,14 @@ fn solo_commit_is_a_group_commit_batch_of_one() {
         txn.read_all(&b).unwrap();
         txn.commit().unwrap();
 
-        let events = recorder.take();
+        let events = take_events(&recorder);
         check_clean(cs, &[("a".to_string(), a), ("b".to_string(), b)]);
         (events, metrics.snapshot())
     };
 
     let (solo_events, solo) = run(false);
     let (group_events, group) = run(true);
-    assert!(solo_events.contains(&Event::Sync));
+    assert!(solo_events.contains(&SYNC));
     assert_eq!(
         solo_events, group_events,
         "a solo commit and a one-scope group batch diverged in their I/O"
@@ -362,87 +367,30 @@ fn solo_commit_is_a_group_commit_batch_of_one() {
 // The counter tests above show *that* parked batches drain; these two
 // record the raw write/sync interleaving and pin *when*.
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Event {
-    Write { start: u64 },
-    Sync,
+/// The write/sync stream since the last call (reads are not part of
+/// the ordering contract).
+fn take_events(recorder: &FaultVolume) -> Vec<Entry> {
+    let mut events = recorder.take_journal();
+    events.retain(|e| !matches!(e, Entry::Read { .. }));
+    events
 }
 
-struct EventVolume {
-    inner: SharedVolume,
-    events: std::sync::Mutex<Vec<Event>>,
-}
-
-impl EventVolume {
-    fn new(inner: SharedVolume) -> Arc<EventVolume> {
-        Arc::new(EventVolume {
-            inner,
-            events: std::sync::Mutex::new(Vec::new()),
-        })
-    }
-
-    fn take(&self) -> Vec<Event> {
-        std::mem::take(&mut self.events.lock().unwrap())
-    }
-}
-
-impl eos::pager::Volume for EventVolume {
-    fn page_size(&self) -> usize {
-        self.inner.page_size()
-    }
-    fn num_pages(&self) -> u64 {
-        self.inner.num_pages()
-    }
-    fn read_into(&self, start: u64, pages: u64, buf: &mut [u8]) -> eos::pager::Result<()> {
-        self.inner.read_into(start, pages, buf)
-    }
-    fn write_pages(&self, start: u64, data: &[u8]) -> eos::pager::Result<()> {
-        self.events.lock().unwrap().push(Event::Write { start });
-        self.inner.write_pages(start, data)
-    }
-    fn stats(&self) -> eos::pager::IoStats {
-        self.inner.stats()
-    }
-    fn reset_stats(&self) {
-        self.inner.reset_stats();
-    }
-    fn sync(&self) -> eos::pager::Result<()> {
-        self.events.lock().unwrap().push(Event::Sync);
-        self.inner.sync()
-    }
-}
+const SYNC: Entry = Entry::Sync { forwarded: true };
 
 /// Log (WAL) region base for the recorder-store geometry below.
 const REC_WAL_BASE: u64 = (1024 + 1) * 4;
 
-fn is_log_write(e: &Event) -> bool {
-    matches!(e, Event::Write { start } if *start >= REC_WAL_BASE)
+fn is_log_write(e: &Entry) -> bool {
+    matches!(e, Entry::Write { start, .. } if *start >= REC_WAL_BASE)
 }
 
-fn is_data_write(e: &Event) -> bool {
-    matches!(e, Event::Write { start } if *start < REC_WAL_BASE)
+fn is_data_write(e: &Entry) -> bool {
+    matches!(e, Entry::Write { start, .. } if *start < REC_WAL_BASE)
 }
 
-/// A durable store on an event-recording volume (same geometry as
-/// [`durable_store`], minus the throttle).
-fn recorder_store(metrics: &Metrics) -> (ObjectStore, Arc<EventVolume>) {
-    let inner: SharedVolume =
-        MemVolume::with_profile(1024, (1024 + 1) * 4 + 62, DiskProfile::FREE).shared();
-    let recorder = EventVolume::new(inner);
-    let volume: SharedVolume = recorder.clone();
-    let mut store = ObjectStore::create_durable(
-        volume,
-        4,
-        1024,
-        StoreConfig {
-            sync_on_commit: true,
-            ..StoreConfig::default()
-        },
-        62,
-    )
-    .unwrap();
-    store.set_metrics(metrics);
-    (store, recorder)
+/// A durable store on a call-journaling volume.
+fn recorder_store(metrics: &Metrics) -> (ObjectStore, Arc<FaultVolume>) {
+    store_on(Plan::new().journal(), metrics)
 }
 
 /// With a reader pinned, a superseding commit parks its frees; the
@@ -457,21 +405,21 @@ fn parked_reclaim_runs_after_the_superseding_commit_force() {
     let cs = ConcurrentStore::new(store);
 
     let pin = cs.snapshot();
-    recorder.take();
+    take_events(&recorder);
 
     // Copy-on-write replace: the superseded segment's pages become a
     // deferred-free batch, parked behind the pin.
     let txn = cs.begin();
     txn.replace(&mut a, 0, &pattern(22, 8_000)).unwrap();
     txn.commit().unwrap();
-    let commit_events = recorder.take();
+    let commit_events = take_events(&recorder);
 
     let last_log = commit_events
         .iter()
         .rposition(is_log_write)
         .expect("the commit wrote a log frame");
     assert!(
-        commit_events[last_log + 1..].contains(&Event::Sync),
+        commit_events[last_log + 1..].contains(&SYNC),
         "the commit frame was never forced"
     );
     assert!(
@@ -482,7 +430,7 @@ fn parked_reclaim_runs_after_the_superseding_commit_force() {
     // The pin drops: every reclaim write sits after the force above in
     // the stream (it is in a later `take`), and none of it is log I/O.
     drop(pin);
-    let reclaim_events = recorder.take();
+    let reclaim_events = take_events(&recorder);
     assert!(
         reclaim_events.iter().any(is_data_write),
         "dropping the last pin produced no reclaim I/O"
@@ -509,16 +457,16 @@ fn immediate_free_application_follows_the_frame_force() {
     let (mut store, recorder) = recorder_store(&metrics);
     let mut a = store.create_with(&pattern(31, 12_000), None).unwrap();
     let cs = ConcurrentStore::new(store);
-    recorder.take();
+    take_events(&recorder);
 
     let txn = cs.begin();
     txn.replace(&mut a, 0, &pattern(32, 8_000)).unwrap();
     txn.commit().unwrap();
-    let events = recorder.take();
+    let events = take_events(&recorder);
 
     let last_sync = events
         .iter()
-        .rposition(|e| *e == Event::Sync)
+        .rposition(|e| *e == SYNC)
         .expect("the commit synced");
     let last_log = events.iter().rposition(is_log_write).unwrap();
     assert!(
@@ -607,63 +555,6 @@ fn out_of_order_unpin_recomputes_the_oldest_pin() {
     check_clean(cs, &[("obj".to_string(), obj)]);
 }
 
-/// A volume whose `sync` fails on demand: `fail_after(n)` lets the
-/// next `n` syncs through and fails the one after (re-arm or disarm
-/// freely; `u64::MAX` = never fail).
-struct FailSyncVolume {
-    inner: SharedVolume,
-    fuse: std::sync::atomic::AtomicU64,
-}
-
-impl FailSyncVolume {
-    fn new(inner: SharedVolume) -> Arc<FailSyncVolume> {
-        Arc::new(FailSyncVolume {
-            inner,
-            fuse: std::sync::atomic::AtomicU64::new(u64::MAX),
-        })
-    }
-
-    fn fail_after(&self, n: u64) {
-        self.fuse.store(n, std::sync::atomic::Ordering::SeqCst);
-    }
-}
-
-impl eos::pager::Volume for FailSyncVolume {
-    fn page_size(&self) -> usize {
-        self.inner.page_size()
-    }
-    fn num_pages(&self) -> u64 {
-        self.inner.num_pages()
-    }
-    fn read_into(&self, start: u64, pages: u64, buf: &mut [u8]) -> eos::pager::Result<()> {
-        self.inner.read_into(start, pages, buf)
-    }
-    fn write_pages(&self, start: u64, data: &[u8]) -> eos::pager::Result<()> {
-        self.inner.write_pages(start, data)
-    }
-    fn stats(&self) -> eos::pager::IoStats {
-        self.inner.stats()
-    }
-    fn reset_stats(&self) {
-        self.inner.reset_stats();
-    }
-    fn sync(&self) -> eos::pager::Result<()> {
-        use std::sync::atomic::Ordering;
-        let left = self.fuse.load(Ordering::SeqCst);
-        if left == u64::MAX {
-            return self.inner.sync();
-        }
-        if left == 0 {
-            self.fuse.store(u64::MAX, Ordering::SeqCst);
-            return Err(eos::pager::Error::Io(std::io::Error::other(
-                "injected sync failure",
-            )));
-        }
-        self.fuse.store(left - 1, Ordering::SeqCst);
-        self.inner.sync()
-    }
-}
-
 /// Satellite (PR 10) regression: the group-commit force-failure path.
 /// A commit whose log force fails must surface `CommitFailed` *and*
 /// leave nothing stuck behind it: its deferred-free batch leaves the
@@ -674,22 +565,7 @@ impl eos::pager::Volume for FailSyncVolume {
 #[test]
 fn failed_force_releases_locks_and_drains_parked_batches() {
     let metrics = Metrics::new();
-    let inner: SharedVolume =
-        MemVolume::with_profile(1024, (1024 + 1) * 4 + 62, DiskProfile::FREE).shared();
-    let failer = FailSyncVolume::new(inner);
-    let volume: SharedVolume = failer.clone();
-    let mut store = ObjectStore::create_durable(
-        volume,
-        4,
-        1024,
-        StoreConfig {
-            sync_on_commit: true,
-            ..StoreConfig::default()
-        },
-        62,
-    )
-    .unwrap();
-    store.set_metrics(&metrics);
+    let (mut store, failer) = store_on(Plan::new(), &metrics);
     let mut obj = store.create_with(&pattern(7, 30_000), None).unwrap();
     let cs = ConcurrentStore::new(store);
 
@@ -707,9 +583,9 @@ fn failed_force_releases_locks_and_drains_parked_batches() {
     let mut failed_view = obj.clone();
     txn.replace(&mut failed_view, 10_000, &pattern(9, 6_000))
         .unwrap();
-    failer.fail_after(1);
+    failer.arm(Plan::new().fail_once(Calls::Syncs, 1)).unwrap();
     let err = txn.commit().unwrap_err();
-    failer.fail_after(u64::MAX);
+    failer.arm(Plan::new()).unwrap();
     assert!(
         matches!(err, Error::CommitFailed { .. }),
         "force failure surfaced as {err:?}"

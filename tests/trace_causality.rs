@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use eos::core::{ConcurrentStore, ObjectStore, StoreConfig};
 use eos::obs::{chrome_trace_json, Metrics, PipeEvent, PipeKind, PIN_TRACE_BIT};
-use eos::pager::{DiskProfile, MemVolume, SharedVolume, ThrottledVolume};
+use eos::pager::{DiskProfile, FaultVolume, MemVolume, Plan, SharedVolume};
 
 const WRITERS: u64 = 4;
 const ROUNDS: u64 = 8;
@@ -38,7 +38,8 @@ fn pattern(seed: u8, len: usize) -> Vec<u8> {
 fn traced_store(metrics: &Metrics) -> ObjectStore {
     let inner: SharedVolume =
         MemVolume::with_profile(1024, (1024 + 1) * 4 + 62, DiskProfile::FREE).shared();
-    let volume: SharedVolume = Arc::new(ThrottledVolume::new(inner, Duration::from_micros(100)));
+    let throttle = Plan::new().sync_delay(Duration::from_micros(100));
+    let volume: SharedVolume = FaultVolume::with_plan(inner, throttle).unwrap();
     let mut store = ObjectStore::create_durable(
         volume,
         4,

@@ -41,6 +41,14 @@ perf_ok=$(cargo run --release --offline --quiet --manifest-path perf/Cargo.toml 
 test "$perf_ok" -eq 4 \
     || { echo "perf --smoke: $perf_ok of 4 workloads correct with 0 failed"; exit 1; }
 
+echo "== perf checks (the benchmark workspace's own fmt, clippy and tests) =="
+# perf/ is its own cargo workspace, so the workspace-wide steps above
+# do not reach it. Its smoke test runs every section's set-up, so a
+# change that breaks a set-up path fails here, not in the benchmark.
+cargo fmt --manifest-path perf/Cargo.toml --check
+cargo clippy --manifest-path perf/Cargo.toml --all-targets --offline -- -D warnings
+cargo test --manifest-path perf/Cargo.toml --offline -q
+
 echo "== bench smoke (compare --quick, BENCH_obs.json) =="
 # One experiment binary end-to-end in quick mode: exercises the store
 # comparison harness and proves the observability snapshot lands in

@@ -56,7 +56,7 @@ pub fn emit(bench: &str, snapshot: &MetricsSnapshot) -> std::io::Result<PathBuf>
 /// snapshot went, or the reason it could not be written.
 pub fn emit_or_warn(bench: &str, snapshot: &MetricsSnapshot) {
     match emit(bench, snapshot) {
-        Ok(path) => println!("observability snapshot -> {}", path.display()),
+        Ok(path) => eprintln!("observability snapshot -> {}", path.display()),
         Err(e) => eprintln!("warning: could not write {OBS_FILE}: {e}"),
     }
 }

@@ -14,10 +14,10 @@
 //!   serialize on the write latch (the latch is held only for the
 //!   in-memory/page work of one operation, never across a user stall).
 //! * [`Txn`] is one transaction scope. Every **write** first acquires
-//!   exclusive byte-range locks from the shared [`RangeLockManager`]
-//!   (tail locks for offset-shifting edits), *then* takes the store
-//!   latch — so lock waits never hold the latch. Locks follow strict
-//!   two-phase locking: they are released only after commit or abort.
+//!   an exclusive whole-object lock from the shared
+//!   [`RangeLockManager`], *then* takes the store latch — so lock waits
+//!   never hold the latch. Locks follow strict two-phase locking: they
+//!   are released only after commit or abort.
 //!   **Reads take no range locks at all**: they pin the committed
 //!   root set the last commit published (MVCC snapshot isolation,
 //!   DESIGN.md §14) and traverse it while the pin parks any
@@ -131,15 +131,80 @@ fn us_since(t0: Instant) -> u64 {
 struct MvccState {
     /// The current publication epoch — bumped once per committed scope.
     epoch: u64,
-    /// Object id → committed root descriptor, as of `epoch`. Shared
-    /// out to snapshots by `Arc`; publication clones-and-replaces, so
-    /// a pinned snapshot's view is immutable.
-    roots: Arc<BTreeMap<u64, Arc<LargeObject>>>,
+    /// Object id → committed root descriptor, as of `epoch`, in
+    /// [`ROOT_SHARDS`] copy-on-write shards. Shared out to snapshots by
+    /// `Arc`; publication copies the shard vector only if a reader
+    /// holds it, then only the shards the commit touched, so a pinned
+    /// snapshot's view is immutable and shares every untouched shard.
+    roots: Arc<Roots>,
     /// Live reader pins: epoch → number of pins at that epoch.
     pinned: BTreeMap<u64, usize>,
     /// Deferred-free batches parked behind older reader pins, in
     /// publication order (epochs strictly increase back to front).
     deferred: VecDeque<DeferredFrees>,
+}
+
+/// Number of shards in the committed root set; an object lives in
+/// shard `id % ROOT_SHARDS`.
+const ROOT_SHARDS: usize = 256;
+
+/// The committed root set (DESIGN.md §14): object id → root
+/// descriptor, split into [`ROOT_SHARDS`] independently shared maps. A
+/// commit copies the outer vector only when a reader holds the set, and
+/// then each shard it touches, so publication costs O(`ROOT_SHARDS` +
+/// touched shards), not O(objects). An empty shard is `None`: copying
+/// the vector bumps one reference count per non-empty shard, never more
+/// than there are objects, and a reader dropping the last copy pays the
+/// same.
+#[derive(Clone)]
+struct Roots(Vec<Option<Arc<RootShard>>>);
+
+/// One shard of [`Roots`]: the committed roots of its ids.
+type RootShard = BTreeMap<u64, Arc<LargeObject>>;
+
+impl Roots {
+    fn new(entries: impl IntoIterator<Item = (u64, Arc<LargeObject>)>) -> Roots {
+        let mut roots = Roots(vec![None; ROOT_SHARDS]);
+        for (id, obj) in entries {
+            roots.insert(id, obj);
+        }
+        roots
+    }
+
+    fn shard(id: u64) -> usize {
+        (id % ROOT_SHARDS as u64) as usize
+    }
+
+    fn get(&self, id: u64) -> Option<&Arc<LargeObject>> {
+        self.0[Self::shard(id)].as_ref()?.get(&id)
+    }
+
+    fn insert(&mut self, id: u64, obj: Arc<LargeObject>) {
+        let shard = self.0[Self::shard(id)].get_or_insert_with(Arc::default);
+        Arc::make_mut(shard).insert(id, obj);
+    }
+
+    fn remove(&mut self, id: u64) {
+        let slot = &mut self.0[Self::shard(id)];
+        if let Some(shard) = slot.as_mut().filter(|s| s.contains_key(&id)) {
+            Arc::make_mut(shard).remove(&id);
+            if shard.is_empty() {
+                *slot = None;
+            }
+        }
+    }
+
+    /// Every committed id, ascending.
+    fn ids(&self) -> Vec<u64> {
+        let mut ids: Vec<u64> = self
+            .0
+            .iter()
+            .flatten()
+            .flat_map(|s| s.keys().copied())
+            .collect();
+        ids.sort_unstable();
+        ids
+    }
 }
 
 /// One parked deferred-free batch: the frees of a commit published at
@@ -226,19 +291,18 @@ impl ConcurrentStore {
         // map, so readers can resolve any object that was committed
         // before this front-end was wrapped around the store. Volatile
         // stores start empty (reads fall back to caller descriptors).
-        let seed: BTreeMap<u64, Arc<LargeObject>> = store
-            .durable_wal()
-            .map(|w| {
-                w.committed()
-                    .into_iter()
-                    .filter_map(|(id, bytes)| {
-                        LargeObject::from_bytes(&bytes)
-                            .ok()
-                            .map(|o| (id, Arc::new(o)))
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
+        let seed = Roots::new(
+            store
+                .durable_wal()
+                .map(StripedWal::committed)
+                .unwrap_or_default()
+                .into_iter()
+                .filter_map(|(id, bytes)| {
+                    LargeObject::from_bytes(&bytes)
+                        .ok()
+                        .map(|o| (id, Arc::new(o)))
+                }),
+        );
         let log = store.commit_log();
         let lanes = store.durable_wal().map_or(1, StripedWal::num_stripes);
         ConcurrentStore {
@@ -338,7 +402,7 @@ impl ConcurrentStore {
     /// Pin the current epoch and hand back the committed root set as
     /// of that epoch. Every pin MUST be paired with one
     /// [`Self::unpin_and_reclaim`].
-    fn pin(&self) -> (u64, Arc<BTreeMap<u64, Arc<LargeObject>>>) {
+    fn pin(&self) -> (u64, Arc<Roots>) {
         let inner = &*self.inner;
         let (epoch, roots) = {
             let mut mv = inner.mvcc.lock();
@@ -441,14 +505,13 @@ impl ConcurrentStore {
             let mut mv = inner.mvcc.lock();
             mv.epoch += 1;
             if !decoded.is_empty() || !prep.deleted.is_empty() {
-                let mut roots = (*mv.roots).clone();
+                let roots = Arc::make_mut(&mut mv.roots);
                 for (id, obj) in decoded {
                     roots.insert(id, obj);
                 }
-                for id in &prep.deleted {
+                for &id in &prep.deleted {
                     roots.remove(id);
                 }
-                mv.roots = Arc::new(roots);
             }
             let lag = mv.epoch - mv.oldest_pin().unwrap_or(mv.epoch);
             inner.mvcc_obs.oldest_epoch_lag.set(lag);
@@ -685,8 +748,8 @@ impl ConcurrentStore {
 
 /// One transaction scope on a [`ConcurrentStore`].
 ///
-/// Writes follow strict 2PL: exclusive range locks accumulate as the
-/// transaction touches bytes and are released only by [`Txn::commit`]
+/// Writes follow strict 2PL: exclusive object locks accumulate as the
+/// transaction touches objects and are released only by [`Txn::commit`]
 /// or [`Txn::abort`] (or by `Drop`, which aborts). Reads take **no
 /// locks at all**: they pin the committed root set published by the
 /// last commit (snapshot isolation — see DESIGN.md §14) and read the
@@ -720,11 +783,6 @@ impl Txn {
         r
     }
 
-    /// Note a write to `id` for read-your-writes resolution.
-    fn note_write(&self, id: u64) {
-        self.wrote.borrow_mut().insert(id);
-    }
-
     /// Create an object (optionally with initial bytes). The new
     /// object is exclusively locked by this transaction — no other
     /// transaction can see it before commit anyway, but the lock keeps
@@ -737,7 +795,7 @@ impl Txn {
             .inner
             .locks
             .lock_object(self.id, obj.id, LockMode::Exclusive);
-        self.note_write(obj.id);
+        self.wrote.borrow_mut().insert(obj.id);
         Ok(obj)
     }
 
@@ -754,7 +812,7 @@ impl Txn {
         let (epoch, roots) = self.cs.pin();
         let r = {
             let st = self.cs.inner.store.read();
-            match roots.get(&obj.id) {
+            match roots.get(obj.id) {
                 Some(committed) => st.read(committed, offset, len),
                 None => st.read(obj, offset, len),
             }
@@ -774,7 +832,7 @@ impl Txn {
         let (epoch, roots) = self.cs.pin();
         let r = {
             let st = self.cs.inner.store.read();
-            match roots.get(&obj.id) {
+            match roots.get(obj.id) {
                 Some(committed) => st.read_all(committed),
                 None => st.read_all(obj),
             }
@@ -791,74 +849,65 @@ impl Txn {
         self.cs.snapshot()
     }
 
-    /// Overwrite bytes under an exclusive lock on exactly the replaced
-    /// range (offsets don't shift, §4.5's minimal footprint). The
-    /// rewrite is copy-on-write ([`ObjectStore::replace_shadow`]):
-    /// committed pages a reader snapshot may be traversing are never
-    /// overwritten, their frees are deferred behind the reader epochs.
-    pub fn replace(&self, obj: &mut LargeObject, offset: u64, data: &[u8]) -> Result<()> {
-        if !data.is_empty() {
-            self.cs.inner.locks.lock(
-                self.id,
-                obj.id,
-                offset,
-                offset + data.len() as u64,
-                LockMode::Exclusive,
-            );
-        }
-        self.note_write(obj.id);
-        self.with_scope(|st| st.replace_shadow(obj, offset, data))
-    }
-
-    /// Append under an exclusive lock on the tail from the current
-    /// size — readers of existing bytes are not blocked.
-    pub fn append(&self, obj: &mut LargeObject, data: &[u8]) -> Result<()> {
-        self.cs
-            .inner
-            .locks
-            .lock_tail(self.id, obj.id, obj.size(), LockMode::Exclusive);
-        self.note_write(obj.id);
-        self.with_scope(|st| st.append(obj, data))
-    }
-
-    /// Insert at `offset`: everything from `offset` onward shifts, so
-    /// the exclusive lock covers the tail from `offset`.
-    pub fn insert(&self, obj: &mut LargeObject, offset: u64, data: &[u8]) -> Result<()> {
-        self.cs
-            .inner
-            .locks
-            .lock_tail(self.id, obj.id, offset, LockMode::Exclusive);
-        self.note_write(obj.id);
-        self.with_scope(|st| st.insert(obj, offset, data))
-    }
-
-    /// Delete a byte range: offsets shift from `offset` onward.
-    pub fn delete(&self, obj: &mut LargeObject, offset: u64, len: u64) -> Result<()> {
-        self.cs
-            .inner
-            .locks
-            .lock_tail(self.id, obj.id, offset, LockMode::Exclusive);
-        self.note_write(obj.id);
-        self.with_scope(|st| st.delete(obj, offset, len))
-    }
-
-    /// Truncate to `new_size`: locks the discarded tail.
-    pub fn truncate(&self, obj: &mut LargeObject, new_size: u64) -> Result<()> {
-        self.cs
-            .inner
-            .locks
-            .lock_tail(self.id, obj.id, new_size, LockMode::Exclusive);
-        self.note_write(obj.id);
-        self.with_scope(|st| st.truncate(obj, new_size))
-    }
-
-    /// Delete the whole object under an exclusive whole-object lock.
-    pub fn delete_object(&self, obj: &mut LargeObject) -> Result<()> {
+    /// Take the exclusive whole-object lock every write needs and, on
+    /// this scope's first write to the object, rebase `obj` on its
+    /// committed root. Each scope shadows the object from its own copy
+    /// of the root (§4.5), so two scopes writing one object at once
+    /// would each publish a root missing the other's bytes and free the
+    /// other's pages twice: one writer per object is the only safe
+    /// footprint. A caller's descriptor may predate a commit that ran
+    /// while this scope waited for the lock; the committed root is the
+    /// current version once the lock is held.
+    fn lock_for_write(&self, obj: &mut LargeObject) {
         self.cs
             .inner
             .locks
             .lock_object(self.id, obj.id, LockMode::Exclusive);
-        self.note_write(obj.id);
+        if !self.wrote.borrow_mut().insert(obj.id) {
+            return;
+        }
+        let committed = self.cs.inner.mvcc.lock().roots.get(obj.id).cloned();
+        if let Some(root) = committed {
+            *obj = (*root).clone();
+        }
+    }
+
+    /// Overwrite bytes under the exclusive object lock. The rewrite is
+    /// copy-on-write ([`ObjectStore::replace_shadow`]): committed pages
+    /// a reader snapshot may be traversing are never overwritten, their
+    /// frees are deferred behind the reader epochs.
+    pub fn replace(&self, obj: &mut LargeObject, offset: u64, data: &[u8]) -> Result<()> {
+        self.lock_for_write(obj);
+        self.with_scope(|st| st.replace_shadow(obj, offset, data))
+    }
+
+    /// Append under the exclusive object lock.
+    pub fn append(&self, obj: &mut LargeObject, data: &[u8]) -> Result<()> {
+        self.lock_for_write(obj);
+        self.with_scope(|st| st.append(obj, data))
+    }
+
+    /// Insert at `offset` under the exclusive object lock.
+    pub fn insert(&self, obj: &mut LargeObject, offset: u64, data: &[u8]) -> Result<()> {
+        self.lock_for_write(obj);
+        self.with_scope(|st| st.insert(obj, offset, data))
+    }
+
+    /// Delete a byte range under the exclusive object lock.
+    pub fn delete(&self, obj: &mut LargeObject, offset: u64, len: u64) -> Result<()> {
+        self.lock_for_write(obj);
+        self.with_scope(|st| st.delete(obj, offset, len))
+    }
+
+    /// Truncate to `new_size` under the exclusive object lock.
+    pub fn truncate(&self, obj: &mut LargeObject, new_size: u64) -> Result<()> {
+        self.lock_for_write(obj);
+        self.with_scope(|st| st.truncate(obj, new_size))
+    }
+
+    /// Delete the whole object under the exclusive object lock.
+    pub fn delete_object(&self, obj: &mut LargeObject) -> Result<()> {
+        self.lock_for_write(obj);
         self.with_scope(|st| st.delete_object(obj))
     }
 
@@ -904,7 +953,7 @@ impl Drop for Txn {
 pub struct Snapshot {
     cs: ConcurrentStore,
     epoch: u64,
-    roots: Arc<BTreeMap<u64, Arc<LargeObject>>>,
+    roots: Arc<Roots>,
     /// When the pin was taken, for the `mvcc.pin.hold_us` histogram.
     pinned: Instant,
 }
@@ -917,20 +966,20 @@ impl Snapshot {
 
     /// Ids of every object committed as of the pin, ascending.
     pub fn object_ids(&self) -> Vec<u64> {
-        self.roots.keys().copied().collect()
+        self.roots.ids()
     }
 
     /// The pinned root descriptor of `id`, if the object was committed
     /// as of the pin. The clone stays readable through [`Self::read`]
     /// for this snapshot's lifetime.
     pub fn object(&self, id: u64) -> Option<LargeObject> {
-        self.roots.get(&id).map(|o| (**o).clone())
+        self.roots.get(id).map(|o| (**o).clone())
     }
 
     /// Size in bytes of object `id` as of the pin.
     pub fn size_of(&self, id: u64) -> Result<u64> {
         self.roots
-            .get(&id)
+            .get(id)
             .map(|o| o.size())
             .ok_or(Error::UnknownObject { id })
     }
@@ -938,13 +987,13 @@ impl Snapshot {
     /// Read `len` bytes at `offset` of object `id`, as of the pin —
     /// no locks, unaffected by commits after the pin.
     pub fn read(&self, id: u64, offset: u64, len: u64) -> Result<Vec<u8>> {
-        let obj = self.roots.get(&id).ok_or(Error::UnknownObject { id })?;
+        let obj = self.roots.get(id).ok_or(Error::UnknownObject { id })?;
         self.cs.inner.store.read().read(obj, offset, len)
     }
 
     /// Read the whole object `id` as of the pin.
     pub fn read_all(&self, id: u64) -> Result<Vec<u8>> {
-        let obj = self.roots.get(&id).ok_or(Error::UnknownObject { id })?;
+        let obj = self.roots.get(id).ok_or(Error::UnknownObject { id })?;
         self.cs.inner.store.read().read_all(obj)
     }
 }
@@ -962,5 +1011,42 @@ impl Drop for Snapshot {
             0,
             held_us * 1000,
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::StoreConfig;
+    use eos_pager::{DiskProfile, MemVolume};
+
+    #[test]
+    fn publication_copies_only_the_touched_shard() {
+        let vol = MemVolume::with_profile(1024, (1024 + 1) * 2 + 128, DiskProfile::FREE).shared();
+        let store = ObjectStore::create_durable(vol, 2, 1024, StoreConfig::default(), 128).unwrap();
+        let cs = ConcurrentStore::new(store);
+        let txn = cs.begin();
+        let mut objs: Vec<LargeObject> = (0..300u64)
+            .map(|i| txn.create(&i.to_le_bytes(), None).unwrap())
+            .collect();
+        txn.commit().unwrap();
+
+        let before = cs.snapshot();
+        let txn = cs.begin();
+        txn.replace(&mut objs[7], 0, b"x").unwrap();
+        txn.commit().unwrap();
+        let after = cs.snapshot();
+
+        let touched = Roots::shard(objs[7].id);
+        let shared: Vec<usize> = (0..ROOT_SHARDS)
+            .filter(|&s| match (&before.roots.0[s], &after.roots.0[s]) {
+                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+                _ => false,
+            })
+            .collect();
+        assert_eq!(shared.len(), ROOT_SHARDS - 1);
+        assert!(!shared.contains(&touched));
+        assert_eq!(before.read_all(objs[7].id).unwrap(), 7u64.to_le_bytes());
+        assert_eq!(after.read(objs[7].id, 0, 1).unwrap(), b"x");
     }
 }

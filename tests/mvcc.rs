@@ -52,6 +52,31 @@ fn store_on(plan: Plan, metrics: &Metrics) -> (ObjectStore, Arc<FaultVolume>) {
     (store, volume)
 }
 
+/// A durable store with a log large enough to checkpoint the roots of
+/// several hundred small objects, so the root set spans every shard.
+fn many_object_store(metrics: &Metrics) -> ObjectStore {
+    let volume = MemVolume::with_profile(1024, (1024 + 1) * 4 + 512, DiskProfile::FREE).shared();
+    let mut store =
+        ObjectStore::create_durable(volume, 4, 1024, StoreConfig::default(), 512).unwrap();
+    store.set_metrics(metrics);
+    store
+}
+
+/// Create `n` small objects, 64 per transaction; object `i` holds
+/// `pattern(i, 100 + i)`.
+fn create_small_objects(cs: &ConcurrentStore, n: usize) -> Vec<(LargeObject, Vec<u8>)> {
+    let mut out = Vec::with_capacity(n);
+    for chunk in (0..n).collect::<Vec<_>>().chunks(64) {
+        let txn = cs.begin();
+        for &i in chunk {
+            let bytes = pattern(i as u8, 100 + i);
+            out.push((txn.create(&bytes, None).unwrap(), bytes));
+        }
+        txn.commit().unwrap();
+    }
+    out
+}
+
 /// The default substrate: every sync costs 50 µs.
 fn durable_store(metrics: &Metrics) -> ObjectStore {
     store_on(Plan::new().sync_delay(Duration::from_micros(50)), metrics).0
@@ -612,4 +637,100 @@ fn failed_force_releases_locks_and_drains_parked_batches() {
         0,
         "the failed commit's free batch leaked in the buddy registry"
     );
+}
+
+/// Sharded publication keeps snapshot isolation inside the one shard a
+/// commit touches. With 512 objects committed, the next id shares its
+/// shard (`id % 256`) with two existing ones; one commit replaces the
+/// first, deletes the second and creates the third. A snapshot pinned
+/// before it still reads the old root of every id in that shard, still
+/// sees the deleted object and does not see the new one; a fresh
+/// snapshot sees the new state.
+#[test]
+fn snapshot_keeps_the_old_roots_of_a_shard_a_commit_touched() {
+    let metrics = Metrics::new();
+    let cs = ConcurrentStore::new(many_object_store(&metrics));
+    let mut objs = create_small_objects(&cs, 512);
+
+    let old = cs.snapshot();
+    let txn = cs.begin();
+    let created_bytes = pattern(200, 3_000);
+    let created = txn.create(&created_bytes, None).unwrap();
+    let shard = created.id() % 256;
+    let mates: Vec<usize> = (0..objs.len())
+        .filter(|&i| objs[i].0.id() % 256 == shard)
+        .collect();
+    assert!(
+        mates.len() >= 2,
+        "ids {:?} share no shard with new id {}",
+        mates,
+        created.id()
+    );
+    let (replaced, deleted) = (mates[0], mates[1]);
+    txn.replace(&mut objs[replaced].0, 0, &pattern(201, 50))
+        .unwrap();
+    txn.delete_object(&mut objs[deleted].0).unwrap();
+    txn.commit().unwrap();
+
+    // The pinned view: every id of the shard at its old root.
+    for &i in &mates {
+        let (obj, bytes) = &objs[i];
+        assert_eq!(&old.read_all(obj.id()).unwrap(), bytes, "id {}", obj.id());
+    }
+    assert!(old.object_ids().contains(&objs[deleted].0.id()));
+    assert!(old.object(created.id()).is_none());
+    assert_eq!(old.object_ids().len(), 512);
+
+    // A fresh snapshot sees the commit.
+    let new = cs.snapshot();
+    let mut want = objs[replaced].1.clone();
+    want[..50].copy_from_slice(&pattern(201, 50));
+    assert_eq!(new.read_all(objs[replaced].0.id()).unwrap(), want);
+    assert!(matches!(
+        new.read_all(objs[deleted].0.id()),
+        Err(Error::UnknownObject { .. })
+    ));
+    assert_eq!(new.read_all(created.id()).unwrap(), created_bytes);
+    for &i in &mates[2..] {
+        let (obj, bytes) = &objs[i];
+        assert_eq!(&new.read_all(obj.id()).unwrap(), bytes);
+    }
+
+    drop(old);
+    drop(new);
+    let mut named: Vec<(String, LargeObject)> = objs
+        .into_iter()
+        .enumerate()
+        .filter(|&(i, _)| i != deleted)
+        .map(|(i, (obj, _))| (format!("o{i}"), obj))
+        .collect();
+    named.push(("created".to_string(), created));
+    check_clean(cs, &named);
+}
+
+/// With ids in every shard, `object_ids` is strictly ascending and
+/// equals a model's key set through creates and deletes.
+#[test]
+fn object_ids_are_ascending_across_all_shards() {
+    let metrics = Metrics::new();
+    let cs = ConcurrentStore::new(many_object_store(&metrics));
+    let mut objs = create_small_objects(&cs, 600);
+    let mut model: std::collections::BTreeSet<u64> = objs.iter().map(|(o, _)| o.id()).collect();
+
+    let txn = cs.begin();
+    for (obj, _) in objs.iter_mut().step_by(7) {
+        model.remove(&obj.id());
+        txn.delete_object(obj).unwrap();
+    }
+    for i in 0..40 {
+        model.insert(txn.create(&pattern(i, 10), None).unwrap().id());
+    }
+    txn.commit().unwrap();
+
+    let ids = cs.snapshot().object_ids();
+    assert!(
+        ids.windows(2).all(|w| w[0] < w[1]),
+        "not strictly ascending"
+    );
+    assert_eq!(ids, model.into_iter().collect::<Vec<_>>());
 }

@@ -10,9 +10,10 @@
 //! * [`SpaceDir`] — one buddy space's directory page (count array +
 //!   amap) with the §3.1 free-segment walk, §3.2 power-of-two
 //!   split/coalesce, any-size allocation (Fig 4) and partial frees.
-//! * [`BuddySpace`] — a directory bound to a volume region; every
-//!   mutation costs exactly one directory-page write, data pages are
-//!   never touched (§3.3).
+//! * [`BuddySpace`] — a directory bound to a volume region; on the
+//!   volatile path every mutation costs exactly one directory-page
+//!   write (§3.3), a durable store writes it only on demand; data pages
+//!   are never touched.
 //! * [`SuperDirectory`] — the latch-protected in-memory cache of the
 //!   largest free segment per space (§3.3).
 //! * [`BuddyManager`] — multi-space allocation with superdirectory

@@ -49,10 +49,11 @@ pub struct FreeBatch(u64);
 /// latches and the pending-free latch carry the synchronization.
 pub struct BuddyManager {
     // One directory latch per space (§17): a guard is held across the
-    // space's in-memory directory work *and* its single dir-page write
-    // (io = allowed), and is always dropped before the superdirectory
-    // (rank 40) is updated — the belief is recorded from a value read
-    // under the guard. Never hold two space guards at once.
+    // space's in-memory directory work *and*, on the volatile path, its
+    // single dir-page write (io = allowed), and is always dropped before
+    // the superdirectory (rank 40) is updated — the belief is recorded
+    // from a value read under the guard. Never hold two space guards at
+    // once.
     // lock-class: spaces = buddy.space rank = 50 io = allowed
     spaces: Vec<Mutex<BuddySpace>>,
     superdir: SuperDirectory,
@@ -207,6 +208,25 @@ impl BuddyManager {
         let g = self.spaces[i].lock();
         let waited = t0.elapsed();
         (g, t0, waited)
+    }
+
+    /// Choose whether every allocation and free writes its space's
+    /// directory page (`true`, the volatile default and the paper's
+    /// §3.3 cost) or leaves the page to [`Self::flush_directories`].
+    /// Durable stores turn it off: recovery rebuilds the directories
+    /// from the log, so no reader depends on the per-call writes.
+    pub fn set_write_back(&mut self, on: bool) {
+        for s in &mut self.spaces {
+            s.get_mut().set_write_back(on);
+        }
+    }
+
+    /// Write every space's directory page (one page write per space).
+    pub fn flush_directories(&self) -> Result<()> {
+        for s in &self.spaces {
+            s.lock().flush()?;
+        }
+        Ok(())
     }
 
     /// Disable the superdirectory (every allocation probes each space in

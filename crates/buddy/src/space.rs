@@ -3,10 +3,16 @@
 //!
 //! All allocation state lives in the directory page; data pages are
 //! never touched by the allocator. The directory is decoded once when
-//! the space is opened and written back (one page write) after every
-//! mutation, so the volume's I/O counters exhibit the paper's §3.3
-//! claim: one disk access per allocation or deallocation, regardless of
-//! segment size.
+//! the space is opened. On the volatile path (the default) it is
+//! written back (one page write) after every mutation, so the volume's
+//! I/O counters exhibit the paper's §3.3 claim: one disk access per
+//! allocation or deallocation, regardless of segment size.
+//!
+//! A durable store turns write-back off
+//! ([`crate::BuddyManager::set_write_back`]):
+//! its restart recovery rebuilds every directory from the log's
+//! committed roots, so the on-disk page is a cache written only at
+//! format time and at the end of that rebuild (DESIGN.md §7).
 
 use eos_pager::{PageId, SharedVolume};
 
@@ -22,6 +28,9 @@ pub struct BuddySpace {
     /// Volume page of data page 0 (`dir_page + 1`).
     data_base: PageId,
     dir: SpaceDir,
+    /// Write the directory page after every mutation (the volatile
+    /// path). Off on durable stores, whose directories recovery rebuilds.
+    write_back: bool,
 }
 
 impl BuddySpace {
@@ -35,6 +44,7 @@ impl BuddySpace {
             dir_page: base_page,
             data_base: base_page + 1,
             dir,
+            write_back: true,
         };
         space.flush()?;
         Ok(space)
@@ -51,6 +61,7 @@ impl BuddySpace {
             dir_page: base_page,
             data_base: base_page + 1,
             dir,
+            write_back: true,
         })
     }
 
@@ -61,11 +72,25 @@ impl BuddySpace {
         Ok(())
     }
 
+    /// Choose whether every allocation and free writes the directory
+    /// page (`true`, the default) or only [`Self::flush`] does.
+    pub(crate) fn set_write_back(&mut self, on: bool) {
+        self.write_back = on;
+    }
+
+    /// The per-mutation write of the volatile path.
+    fn maybe_flush(&mut self) -> Result<()> {
+        if self.write_back {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
     /// Allocate `pages` physically contiguous pages (any size, page
     /// precision). Returns the first **volume** page of the run.
     pub fn allocate(&mut self, pages: u64) -> Result<PageId> {
         let data_page = self.dir.alloc_any(pages)?;
-        self.flush()?;
+        self.maybe_flush()?;
         Ok(self.data_base + data_page)
     }
 
@@ -74,7 +99,7 @@ impl BuddySpace {
     pub fn allocate_at(&mut self, start: PageId, pages: u64) -> Result<()> {
         let data_page = self.to_data_page(start)?;
         self.dir.alloc_at(data_page, pages)?;
-        self.flush()?;
+        self.maybe_flush()?;
         Ok(())
     }
 
@@ -83,7 +108,7 @@ impl BuddySpace {
     pub fn free(&mut self, start: PageId, pages: u64) -> Result<()> {
         let data_page = self.to_data_page(start)?;
         self.dir.free_range(data_page, pages)?;
-        self.flush()?;
+        self.maybe_flush()?;
         Ok(())
     }
 
@@ -170,6 +195,26 @@ mod tests {
             let after = vol.stats();
             assert_eq!(after.page_writes - before.page_writes, 1, "free {req}");
         }
+    }
+
+    #[test]
+    fn without_write_back_only_flush_writes_the_directory() {
+        let vol = mem(200);
+        let mut s = BuddySpace::create(vol.clone(), 0, 128).unwrap();
+        s.set_write_back(false);
+        let before = vol.stats();
+        let a = s.allocate(11).unwrap();
+        s.allocate_at(a + 16, 4).unwrap();
+        s.free(a, 11).unwrap();
+        assert_eq!(vol.stats().page_writes, before.page_writes);
+        s.flush().unwrap();
+        assert_eq!(vol.stats().page_writes, before.page_writes + 1);
+        let reopened = BuddySpace::open(vol.clone(), 0, 128).unwrap();
+        assert_eq!(
+            reopened.free_pages(),
+            124,
+            "the flush carries every mutation"
+        );
     }
 
     #[test]

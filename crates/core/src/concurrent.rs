@@ -367,14 +367,14 @@ impl ConcurrentStore {
     }
 
     /// Run `f` with shared (read) access to the underlying store.
+    ///
+    /// Every write goes through a [`Txn`] ([`Self::begin`]), which takes
+    /// the object lock, rebases on the committed root and publishes to
+    /// readers. To write to the plain store instead, unwrap it with
+    /// [`Self::try_into_inner`] and wrap it again with [`Self::new`],
+    /// which re-seeds the committed roots from the log.
     pub fn with_store<R>(&self, f: impl FnOnce(&ObjectStore) -> R) -> R {
         f(&self.inner.store.read())
-    }
-
-    /// Run `f` with exclusive access to the underlying store — for
-    /// maintenance outside any transaction (autocommit applies).
-    pub fn with_store_mut<R>(&self, f: impl FnOnce(&mut ObjectStore) -> R) -> R {
-        f(&mut self.inner.store.write())
     }
 
     /// Unwrap back to the plain store. Fails (returning `self`) if
@@ -492,7 +492,7 @@ impl ConcurrentStore {
     /// the free batch immediately (no reader pinned an older epoch) or
     /// park it on the epoch-tagged deferred list. Called with the store
     /// write latch held; the MVCC latch nests inside it and is released
-    /// before the frees' directory I/O.
+    /// before the frees (and, on a volatile store, their directory I/O).
     // durability: requires(commit-frame)
     fn publish_commit(&self, st: &mut ObjectStore, prep: &PreparedCommit) -> Result<()> {
         let inner = &*self.inner;

@@ -19,7 +19,9 @@
 //!    stroke reconciles everything the crash could have left behind —
 //!    half-applied deferred frees, allocations of the doomed
 //!    transaction, a stale superdirectory — because none of that state
-//!    is an input.
+//!    is an input. The rebuilt directories are written once per space
+//!    at its end; a durable store writes them at no other time after
+//!    format (no per-allocation write-back, DESIGN.md §7).
 //! 4. **Checkpoint** — the recovered map is written as a fresh
 //!    checkpoint, so a second crash during or right after recovery just
 //!    repeats it (recovery is idempotent and never writes a committed
@@ -77,6 +79,9 @@ impl ObjectStore {
         let base = (pages_per_space + 1) * num_spaces as u64;
         let wal = StripedWal::format(&volume, base, wal_pages, config.wal_stripes)?;
         let mut store = Self::create(volume, num_spaces, pages_per_space, config)?;
+        // The formatted directories are the last per-call write: from
+        // here on recovery, not the on-disk page, is their source.
+        store.buddy.set_write_back(false);
         wal.set_metrics(&store.obs);
         store.wal = Some(Arc::new(wal));
         Ok(store)
@@ -160,6 +165,7 @@ impl ObjectStore {
         // directories (data pages untouched), then mark the boot page
         // and every extent a committed root reaches.
         let mut buddy = BuddyManager::create(volume.clone(), num_spaces, pages_per_space)?;
+        buddy.set_write_back(false);
         let boot = buddy.space(0).data_base();
         buddy.allocate_at(boot, 1)?;
         buddy.set_metrics(metrics);
@@ -180,6 +186,9 @@ impl ObjectStore {
                 store.buddy.allocate_at(start, pages)?;
             }
         }
+        // One write per space leaves the on-disk directories as of this
+        // rebuild; nothing reads them back, the next open rebuilds too.
+        store.buddy.flush_directories()?;
         store.next_id = objects
             .iter()
             .map(|o| o.id)

@@ -48,6 +48,7 @@ pub fn workload() -> Vec<Vec<Op>> {
             Op::Append(1, pattern(2 * PAGE, 3)),
             Op::Insert(1, 700, pattern(300, 4)),
             Op::Append(2, pattern(PAGE + 13, 5)),
+            Op::Append(2, pattern(2 * PAGE + 60, 24)),
         ],
         // txn 3: in-place replaces, straddling a page boundary
         vec![
@@ -60,14 +61,20 @@ pub fn workload() -> Vec<Vec<Op>> {
             Op::Delete(1, 400, 900),
             Op::Truncate(2, 300),
             Op::Replace(1, 0, pattern(128, 9)),
+            Op::Append(2, pattern(PAGE + 90, 30)),
         ],
         // txn 5: one object dies, a third is born
-        vec![Op::DeleteObj(2), Op::Create(pattern(2 * PAGE + 11, 10))],
+        vec![
+            Op::DeleteObj(2),
+            Op::Create(pattern(2 * PAGE + 11, 10)),
+            Op::Append(3, pattern(3 * PAGE, 25)),
+        ],
         // txn 6: growth spurt on the newcomer, multi-segment appends
         vec![
             Op::Append(3, pattern(500, 11)),
             Op::Append(3, pattern(4 * PAGE, 12)),
             Op::Replace(1, 50, pattern(90, 13)),
+            Op::Insert(1, 33, pattern(PAGE + 5, 26)),
         ],
         // txn 7: churn that forces reshuffling around segment seams
         vec![
@@ -75,6 +82,7 @@ pub fn workload() -> Vec<Vec<Op>> {
             Op::Delete(3, 200, 450),
             Op::Insert(1, 0, pattern(256, 15)),
             Op::Replace(3, 2 * PAGE as u64 + 5, pattern(300, 16)),
+            Op::Append(3, pattern(2 * PAGE + 20, 31)),
         ],
         // txn 8: a fourth object, then heavy in-place traffic
         vec![
@@ -82,18 +90,22 @@ pub fn workload() -> Vec<Vec<Op>> {
             Op::Replace(4, 100, pattern(400, 18)),
             Op::Replace(4, 0, pattern(64, 19)),
             Op::Append(4, pattern(300, 20)),
+            Op::Append(4, pattern(2 * PAGE + 1, 27)),
+            Op::Insert(3, 40, pattern(PAGE, 28)),
         ],
         // txn 9: shrink everything back down
         vec![
             Op::Truncate(3, 900),
             Op::Delete(1, 500, 800),
             Op::Truncate(4, 256),
+            Op::Delete(4, 60, 100),
         ],
         // txn 10: final touches on every survivor
         vec![
             Op::Replace(1, 10, pattern(48, 21)),
             Op::Append(3, pattern(150, 22)),
             Op::Insert(4, 128, pattern(99, 23)),
+            Op::Append(1, pattern(2 * PAGE, 29)),
         ],
     ]
 }

@@ -240,6 +240,7 @@ fn striped_workload() -> Vec<Vec<Op>> {
         vec![
             Op::Append(1, pattern(PAGE + 33, 43)),
             Op::Insert(1, 300, pattern(150, 44)),
+            Op::Append(1, pattern(2 * PAGE, 54)),
         ],
         // txn 3: stripe-0 solo commit — stripe 0's log now skips the
         // LSNs txn 2 burned on stripe 1.
@@ -258,6 +259,7 @@ fn striped_workload() -> Vec<Vec<Op>> {
         vec![
             Op::Append(3, pattern(3 * PAGE, 48)),
             Op::Replace(1, 10, pattern(90, 49)),
+            Op::Insert(3, 100, pattern(PAGE + 8, 55)),
         ],
         // txn 7: a fourth object (stripe 0) revives cross-stripe
         // traffic after the stripe had gone quiet.
@@ -270,7 +272,11 @@ fn striped_workload() -> Vec<Vec<Op>> {
             Op::Replace(4, 0, pattern(300, 52)),
             Op::Append(4, pattern(PAGE / 2, 53)),
         ],
-        vec![Op::Truncate(3, 600), Op::Delete(4, 100, 350)],
+        vec![
+            Op::Truncate(3, 600),
+            Op::Delete(4, 100, 350),
+            Op::Append(1, pattern(PAGE + 3, 56)),
+        ],
     ]
 }
 
@@ -329,6 +335,7 @@ fn run_mvcc_workload(cs: &ConcurrentStore) -> Outcome {
     let txn = cs.begin();
     if txn.replace(&mut a, 100, &pattern(400, 33)).is_err()
         || txn.append(&mut b, &pattern(600, 34)).is_err()
+        || txn.append(&mut a, &pattern(2 * PAGE, 37)).is_err()
     {
         return Outcome::CrashedInTxn(committed);
     }
@@ -339,7 +346,10 @@ fn run_mvcc_workload(cs: &ConcurrentStore) -> Outcome {
 
     // txn 3: shrink + splice, still pinned.
     let txn = cs.begin();
-    if txn.delete(&mut a, 300, 700).is_err() || txn.insert(&mut b, 64, &pattern(200, 35)).is_err() {
+    if txn.delete(&mut a, 300, 700).is_err()
+        || txn.insert(&mut b, 64, &pattern(200, 35)).is_err()
+        || txn.append(&mut b, &pattern(PAGE + 40, 38)).is_err()
+    {
         return Outcome::CrashedInTxn(committed);
     }
     if txn.commit().is_err() {
@@ -355,7 +365,10 @@ fn run_mvcc_workload(cs: &ConcurrentStore) -> Outcome {
     // txn 4 under a second pin: one object dies (tombstone publish).
     let pin = cs.snapshot();
     let txn = cs.begin();
-    if txn.replace(&mut a, 0, &pattern(128, 36)).is_err() || txn.delete_object(&mut b).is_err() {
+    if txn.replace(&mut a, 0, &pattern(128, 36)).is_err()
+        || txn.append(&mut a, &pattern(3 * PAGE, 39)).is_err()
+        || txn.delete_object(&mut b).is_err()
+    {
         return Outcome::CrashedInTxn(committed);
     }
     if txn.commit().is_err() {
@@ -364,14 +377,32 @@ fn run_mvcc_workload(cs: &ConcurrentStore) -> Outcome {
     committed += 1;
     drop(pin);
 
-    // txn 5: final touch with no reader pinned — frees apply inline.
+    // txn 5: shrink and regrow with no reader pinned — frees apply
+    // inline.
     let txn = cs.begin();
-    if txn.truncate(&mut a, 800).is_err() {
+    if txn.truncate(&mut a, 800).is_err()
+        || txn.append(&mut a, &pattern(2 * PAGE + 10, 40)).is_err()
+    {
         return Outcome::CrashedInTxn(committed);
     }
     if txn.commit().is_err() {
         return Outcome::CrashedInCommit(committed);
     }
+    committed += 1;
+
+    // txn 6 under a third pin: copy-on-write replace and a head
+    // insert, then the drop reclaims them.
+    let pin = cs.snapshot();
+    let txn = cs.begin();
+    if txn.replace(&mut a, 200, &pattern(300, 41)).is_err()
+        || txn.insert(&mut a, 0, &pattern(PAGE, 42)).is_err()
+    {
+        return Outcome::CrashedInTxn(committed);
+    }
+    if txn.commit().is_err() {
+        return Outcome::CrashedInCommit(committed);
+    }
+    drop(pin);
 
     Outcome::Completed
 }
@@ -384,13 +415,20 @@ fn mvcc_model_states() -> Vec<BTreeMap<u64, Vec<u8>>> {
     states.push(BTreeMap::from([(1, a.clone()), (2, b.clone())]));
     a[100..500].copy_from_slice(&pattern(400, 33));
     b.extend(pattern(600, 34));
+    a.extend(pattern(2 * PAGE, 37));
     states.push(BTreeMap::from([(1, a.clone()), (2, b.clone())]));
     a.drain(300..1000);
     b.splice(64..64, pattern(200, 35));
+    b.extend(pattern(PAGE + 40, 38));
     states.push(BTreeMap::from([(1, a.clone()), (2, b.clone())]));
     a[..128].copy_from_slice(&pattern(128, 36));
+    a.extend(pattern(3 * PAGE, 39));
     states.push(BTreeMap::from([(1, a.clone())]));
     a.truncate(800);
+    a.extend(pattern(2 * PAGE + 10, 40));
+    states.push(BTreeMap::from([(1, a.clone())]));
+    a[200..500].copy_from_slice(&pattern(300, 41));
+    a.splice(0..0, pattern(PAGE, 42));
     states.push(BTreeMap::from([(1, a.clone())]));
     states
 }

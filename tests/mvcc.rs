@@ -387,10 +387,13 @@ fn solo_commit_is_a_group_commit_batch_of_one() {
 // ---- reclaim write-ordering (eos-crashdep L6, DESIGN.md §15) ------------
 //
 // The `mvcc-publish` durability class requires `commit-frame`: pages a
-// commit superseded must not re-enter the free pool (directory-page
-// writes in `apply_commit`) before that commit's log frame is forced.
-// The counter tests above show *that* parked batches drain; these two
-// record the raw write/sync interleaving and pin *when*.
+// commit superseded must not re-enter the free pool (`apply_commit`)
+// before that commit's log frame is forced. The counter tests above
+// show *that* parked batches drain; these two record the raw
+// write/sync interleaving and pin *when*. A durable store writes no
+// directory page for a free (DESIGN.md §7), so the frees themselves
+// leave no I/O: what the stream pins is that nothing of theirs reaches
+// the volume before the force and the log is silent after it.
 
 /// The write/sync stream since the last call (reads are not part of
 /// the ordering contract).
@@ -413,15 +416,20 @@ fn is_data_write(e: &Entry) -> bool {
     matches!(e, Entry::Write { start, .. } if *start < REC_WAL_BASE)
 }
 
+/// A write of one of the recorder store's four directory pages.
+fn is_dir_write(e: &Entry) -> bool {
+    is_data_write(e) && matches!(e, Entry::Write { start, .. } if start % (1024 + 1) == 0)
+}
+
 /// A durable store on a call-journaling volume.
 fn recorder_store(metrics: &Metrics) -> (ObjectStore, Arc<FaultVolume>) {
     store_on(Plan::new().journal(), metrics)
 }
 
 /// With a reader pinned, a superseding commit parks its frees; the
-/// reclaim I/O runs only when the pin drops — strictly after the
-/// commit's frame force in the event stream — and touches only the
-/// data region (directory pages), never the log.
+/// reclaim runs only when the pin drops — strictly after the commit's
+/// frame force in the event stream — and writes neither the log nor a
+/// directory page.
 #[test]
 fn parked_reclaim_runs_after_the_superseding_commit_force() {
     let metrics = Metrics::new();
@@ -452,30 +460,34 @@ fn parked_reclaim_runs_after_the_superseding_commit_force() {
         "the superseded pages did not park behind the pin"
     );
 
-    // The pin drops: every reclaim write sits after the force above in
-    // the stream (it is in a later `take`), and none of it is log I/O.
+    // The pin drops: whatever reclaim writes sits after the force above
+    // in the stream (it is in a later `take`), and none of it is log
+    // I/O or a directory page.
     drop(pin);
     let reclaim_events = take_events(&recorder);
-    assert!(
-        reclaim_events.iter().any(is_data_write),
-        "dropping the last pin produced no reclaim I/O"
-    );
     assert!(
         !reclaim_events.iter().any(is_log_write),
         "reclaim must not write the log: {reclaim_events:?}"
     );
-    assert_eq!(
-        metrics.snapshot().gauge("mvcc.deferred_pages").unwrap_or(0),
-        0
+    assert!(
+        !reclaim_events.iter().any(is_dir_write),
+        "a durable reclaim wrote a directory page: {reclaim_events:?}"
     );
+    let snap = metrics.snapshot();
+    assert!(
+        snap.counter("mvcc.reclaimed_pages").unwrap_or(0) > 0,
+        "dropping the last pin reclaimed nothing"
+    );
+    assert_eq!(snap.gauge("mvcc.deferred_pages").unwrap_or(0), 0);
 
     check_clean(cs, &[("a".to_string(), a)]);
 }
 
 /// With no reader pinned, the frees apply inside the commit itself —
-/// but still only after the frame force: every write after the
-/// commit's last sync is data-region I/O (the `mvcc-publish` batch),
-/// and the log is silent from the force onwards.
+/// but still only after the frame force: no directory page is written
+/// before the force, anything written after the commit's last sync is
+/// data-region I/O (the `mvcc-publish` batch), and the log is silent
+/// from the force onwards.
 #[test]
 fn immediate_free_application_follows_the_frame_force() {
     let metrics = Metrics::new();
@@ -484,10 +496,25 @@ fn immediate_free_application_follows_the_frame_force() {
     let cs = ConcurrentStore::new(store);
     take_events(&recorder);
 
+    let frees = |m: &Metrics| {
+        m.snapshot()
+            .histogram("buddy.free.pages")
+            .map_or(0, |h| h.count)
+    };
+    let frees_before = frees(&metrics);
     let txn = cs.begin();
     txn.replace(&mut a, 0, &pattern(32, 8_000)).unwrap();
     txn.commit().unwrap();
     let events = take_events(&recorder);
+    assert!(
+        frees(&metrics) > frees_before,
+        "the commit applied no frees"
+    );
+    assert_eq!(
+        metrics.snapshot().gauge("mvcc.deferred_pages").unwrap_or(0),
+        0,
+        "with no pin the frees must not park"
+    );
 
     let last_sync = events
         .iter()
@@ -498,11 +525,11 @@ fn immediate_free_application_follows_the_frame_force() {
         last_log < last_sync,
         "the frame force must follow the last log write"
     );
-    let tail = &events[last_sync + 1..];
     assert!(
-        tail.iter().any(is_data_write),
-        "no free-application I/O after the force: {events:?}"
+        !events[..last_sync].iter().any(is_dir_write),
+        "a free reached a directory page before the force: {events:?}"
     );
+    let tail = &events[last_sync + 1..];
     assert!(
         tail.iter().all(is_data_write),
         "only data-region writes may follow the force: {tail:?}"
@@ -733,4 +760,34 @@ fn object_ids_are_ascending_across_all_shards() {
         "not strictly ascending"
     );
     assert_eq!(ids, model.into_iter().collect::<Vec<_>>());
+}
+
+/// A `ConcurrentStore` has one write path, the `Txn`. A write made to
+/// the plain store between `try_into_inner` and a fresh
+/// `ConcurrentStore::new` is re-seeded from the log, so a later `Txn`
+/// rebases on it instead of losing it, and snapshots see both writes.
+#[test]
+fn plain_store_write_between_wraps_is_seen_by_the_next_txn() {
+    let metrics = Metrics::new();
+    let cs = ConcurrentStore::new(durable_store(&metrics));
+    let txn = cs.begin();
+    let mut o = txn.create(b"aaaa", None).unwrap();
+    txn.commit().unwrap();
+
+    let mut store = match cs.try_into_inner() {
+        Ok(s) => s,
+        Err(_) => panic!("a ConcurrentStore handle outlived the wrap"),
+    };
+    store.append(&mut o, b"bb").unwrap();
+    let cs = ConcurrentStore::new(store);
+
+    let txn = cs.begin();
+    txn.append(&mut o, b"cc").unwrap();
+    txn.commit().unwrap();
+
+    let txn = cs.begin();
+    assert_eq!(txn.read_all(&o).unwrap(), b"aaaabbcc");
+    txn.commit().unwrap();
+    assert_eq!(cs.snapshot().read_all(o.id()).unwrap(), b"aaaabbcc");
+    check_clean(cs, &[("o".to_string(), o)]);
 }

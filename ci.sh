@@ -22,6 +22,15 @@ volume_impls=$(grep -rE --include='*.rs' \
 test "$volume_impls" -eq 5 \
     || { echo "expected 5 Volume implementations outside perf/, found $volume_impls"; exit 1; }
 
+echo "== lock-class census (declared latch classes) =="
+# Every `// lock-class:` declaration eos-lint finds (DESIGN.md §13). A
+# new latch class is a new rank in the lock order: a change that adds
+# one moves this pin and says why.
+lock_classes=$(cargo run -q --offline -p eos-lint -- . --json \
+    | python3 -c 'import json, sys; print(len(json.load(sys.stdin)["lock_classes"]))')
+test "$lock_classes" -eq 17 \
+    || { echo "expected 17 lock classes, found $lock_classes"; exit 1; }
+
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 

@@ -16,7 +16,7 @@
 //! The second table measures the MVCC read path (`DESIGN.md` §14):
 //! a fixed pool of snapshot readers against a growing pool of
 //! replace-churning writers. Readers pin an epoch and traverse
-//! committed roots without a single range lock, so their throughput
+//! committed roots without a single lock, so their throughput
 //! should stay flat as writers are added — that flatness *is* the
 //! result.
 //!

@@ -94,39 +94,39 @@ impl BuddyManager {
     /// laid out back to back from volume page 0 (each space owns
     /// `pages_per_space + 1` volume pages, the first being its
     /// directory).
-    // Constructors take the volume handle by value: callers hand over
-    // their clone even though internally each space gets its own.
-    #[allow(clippy::needless_pass_by_value)]
     pub fn create(
         volume: SharedVolume,
         num_spaces: usize,
         pages_per_space: u64,
     ) -> Result<BuddyManager> {
-        let geometry = Geometry::for_page_size(volume.page_size());
+        let mut mgr = Self::create_unwritten(volume, num_spaces, pages_per_space);
+        mgr.set_write_back(true);
+        mgr.flush_directories()?;
+        Ok(mgr)
+    }
+
+    /// [`Self::create`] in memory only, with write-back off: no
+    /// directory page is written until [`Self::flush_directories`].
+    /// Restart recovery rebuilds the allocation state this way and
+    /// writes each directory once, at the end.
+    // Constructors take the volume handle by value: callers hand over
+    // their clone even though internally each space gets its own.
+    #[allow(clippy::needless_pass_by_value)]
+    pub fn create_unwritten(
+        volume: SharedVolume,
+        num_spaces: usize,
+        pages_per_space: u64,
+    ) -> BuddyManager {
         assert!(num_spaces > 0, "need at least one buddy space");
         let span = pages_per_space + 1;
         assert!(
             span * num_spaces as u64 <= volume.num_pages(),
             "volume too small for {num_spaces} spaces of {pages_per_space} pages"
         );
-        let mut spaces = Vec::with_capacity(num_spaces);
-        for i in 0..num_spaces {
-            spaces.push(BuddySpace::create(
-                volume.clone(),
-                i as u64 * span,
-                pages_per_space,
-            )?);
-        }
-        let optimistic = spaces[0].dir().space_max_type();
-        Ok(BuddyManager {
-            spaces: spaces.into_iter().map(Mutex::new).collect(),
-            superdir: SuperDirectory::new(num_spaces, optimistic),
-            use_superdir: true,
-            geometry,
-            pages_per_space,
-            pending: Mutex::new(PendingFrees::default()),
-            obs: None,
-        })
+        let spaces = (0..num_spaces)
+            .map(|i| BuddySpace::create_unwritten(volume.clone(), i as u64 * span, pages_per_space))
+            .collect();
+        Self::from_spaces(&volume, spaces, pages_per_space)
     }
 
     /// Reopen a previously formatted manager by reading every space
@@ -138,7 +138,6 @@ impl BuddyManager {
         num_spaces: usize,
         pages_per_space: u64,
     ) -> Result<BuddyManager> {
-        let geometry = Geometry::for_page_size(volume.page_size());
         let span = pages_per_space + 1;
         let mut spaces = Vec::with_capacity(num_spaces);
         for i in 0..num_spaces {
@@ -148,16 +147,24 @@ impl BuddyManager {
                 pages_per_space,
             )?);
         }
+        Ok(Self::from_spaces(&volume, spaces, pages_per_space))
+    }
+
+    fn from_spaces(
+        volume: &SharedVolume,
+        spaces: Vec<BuddySpace>,
+        pages_per_space: u64,
+    ) -> BuddyManager {
         let optimistic = spaces[0].dir().space_max_type();
-        Ok(BuddyManager {
+        BuddyManager {
+            superdir: SuperDirectory::new(spaces.len(), optimistic),
             spaces: spaces.into_iter().map(Mutex::new).collect(),
-            superdir: SuperDirectory::new(num_spaces, optimistic),
             use_superdir: true,
-            geometry,
+            geometry: Geometry::for_page_size(volume.page_size()),
             pages_per_space,
             pending: Mutex::new(PendingFrees::default()),
             obs: None,
-        })
+        }
     }
 
     /// Attach an observability domain: allocation/free size histograms

@@ -37,17 +37,27 @@ impl BuddySpace {
     /// Format a fresh space: directory at `base_page`, `data_pages` data
     /// pages directly after it. Writes the initial directory page.
     pub fn create(volume: SharedVolume, base_page: PageId, data_pages: u64) -> Result<BuddySpace> {
+        let mut space = Self::create_unwritten(volume, base_page, data_pages);
+        space.write_back = true;
+        space.flush()?;
+        Ok(space)
+    }
+
+    /// [`Self::create`] in memory only, with write-back off: the
+    /// directory page reaches the volume at the first [`Self::flush`].
+    pub(crate) fn create_unwritten(
+        volume: SharedVolume,
+        base_page: PageId,
+        data_pages: u64,
+    ) -> BuddySpace {
         let geometry = Geometry::for_page_size(volume.page_size());
-        let dir = SpaceDir::create(geometry, data_pages);
-        let mut space = BuddySpace {
+        BuddySpace {
             volume,
             dir_page: base_page,
             data_base: base_page + 1,
-            dir,
-            write_back: true,
-        };
-        space.flush()?;
-        Ok(space)
+            dir: SpaceDir::create(geometry, data_pages),
+            write_back: false,
+        }
     }
 
     /// Open an existing space by reading and validating its directory
@@ -73,7 +83,8 @@ impl BuddySpace {
     }
 
     /// Choose whether every allocation and free writes the directory
-    /// page (`true`, the default) or only [`Self::flush`] does.
+    /// page (`true`) or only [`Self::flush`] does. On for `create` and
+    /// `open`, off for `create_unwritten`.
     pub(crate) fn set_write_back(&mut self, on: bool) {
         self.write_back = on;
     }

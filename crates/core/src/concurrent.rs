@@ -1,10 +1,10 @@
 //! A concurrent front-end over [`ObjectStore`]: shared handles,
-//! per-transaction scopes, byte-range locking, and a group-commit WAL
+//! per-transaction scopes, whole-object locking, and a group-commit WAL
 //! pipeline.
 //!
 //! The paper's engine (§4.5) interleaves many client transactions over
-//! one storage manager: each transaction locks the byte ranges it
-//! touches, shadowed operations keep the committed image intact, and a
+//! one storage manager: each transaction locks the object roots it
+//! writes, shadowed operations keep the committed image intact, and a
 //! single commit point makes each transaction durable. This module is
 //! that front-end:
 //!
@@ -14,11 +14,11 @@
 //!   serialize on the write latch (the latch is held only for the
 //!   in-memory/page work of one operation, never across a user stall).
 //! * [`Txn`] is one transaction scope. Every **write** first acquires
-//!   an exclusive whole-object lock from the shared
-//!   [`RangeLockManager`], *then* takes the store latch — so lock waits
-//!   never hold the latch. Locks follow strict two-phase locking: they
-//!   are released only after commit or abort.
-//!   **Reads take no range locks at all**: they pin the committed
+//!   an exclusive whole-object lock from the shared lock table
+//!   (`locks.rs`), *then* takes the store latch — so lock waits never
+//!   hold the latch. Locks follow strict two-phase locking: they are
+//!   released only after commit or abort.
+//!   **Reads take no locks at all**: they pin the committed
 //!   root set the last commit published (MVCC snapshot isolation,
 //!   DESIGN.md §14) and traverse it while the pin parks any
 //!   concurrent reclaim; [`Snapshot`] is the explicit, multi-read
@@ -37,10 +37,11 @@
 //!   stripe latches — so commits on disjoint stripes force in
 //!   parallel, which is the whole point of striping.
 //!
-//! Lock acquisition order is the caller's responsibility: `lock`
-//! blocks without deadlock detection, so transactions that touch
-//! multiple objects should touch them in a consistent order (or use
-//! disjoint objects, as ingest workloads naturally do).
+//! Transactions that write several objects may touch them in any
+//! order: a write whose lock wait would close a cycle fails with
+//! [`Error::Deadlock`] instead of hanging, and the caller aborts (or
+//! drops) that transaction, which releases its locks so the others go
+//! on.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
@@ -53,7 +54,7 @@ use eos_obs::{Counter, Gauge, Histogram, Metrics, PipeKind, PIN_TRACE_BIT};
 use parking_lot::{LockClass, TrackedCondvar, TrackedMutex, TrackedRwLock};
 
 use crate::error::{Error, Result};
-use crate::locks::{LockMode, RangeLockManager, TxnId};
+use crate::locks::{ObjectLocks, TxnId};
 use crate::object::LargeObject;
 use crate::store::{commit_barrier, commit_force, ObjectStore, PreparedCommit};
 use crate::striped::StripedWal;
@@ -72,7 +73,7 @@ struct Inner {
     // mutex and below nothing that forbids I/O. See DESIGN.md §13.
     // lock-class: store = store.latch rank = 30 io = allowed
     store: TrackedRwLock<ObjectStore>,
-    locks: RangeLockManager,
+    locks: ObjectLocks,
     /// The log commits sync ([`ObjectStore::commit_log`]), retained
     /// (shared `Arc`) so Phases A and C run without any store latch —
     /// the write-preferring `RwLock` would otherwise let a waiting
@@ -273,7 +274,7 @@ impl ConcurrentStore {
     ///
     /// If the caller wants operations recorded in a specific metrics
     /// domain, call [`ObjectStore::set_metrics`] *before* wrapping —
-    /// the lock-manager and group-commit instruments are resolved from
+    /// the lock-table and group-commit instruments are resolved from
     /// the store's domain here.
     pub fn new(store: ObjectStore) -> ConcurrentStore {
         Self::with_group_commit(store, true)
@@ -285,8 +286,7 @@ impl ConcurrentStore {
     /// protocol is the same either way.
     pub fn with_group_commit(store: ObjectStore, group_commit: bool) -> ConcurrentStore {
         let obs: Metrics = store.metrics().clone();
-        let locks = RangeLockManager::new();
-        locks.set_metrics(&obs);
+        let locks = ObjectLocks::new(&obs);
         // Seed the committed root set from the durable log's committed
         // map, so readers can resolve any object that was committed
         // before this front-end was wrapped around the store. Volatile
@@ -384,11 +384,6 @@ impl ConcurrentStore {
             Ok(inner) => Ok(inner.store.into_inner()),
             Err(arc) => Err(ConcurrentStore { inner: arc }),
         }
-    }
-
-    /// The shared byte-range lock table.
-    pub fn locks(&self) -> &RangeLockManager {
-        &self.inner.locks
     }
 
     // ---- MVCC: pins, publication, reclaim (DESIGN.md §14) ----------------
@@ -542,7 +537,7 @@ impl ConcurrentStore {
     }
 
     /// Pin a consistent, immutable view of every committed object. The
-    /// snapshot reads entirely without range locks; pages it can see
+    /// snapshot reads entirely without locks; pages it can see
     /// are protected from reclaim until it drops.
     pub fn snapshot(&self) -> Snapshot {
         let (epoch, roots) = self.pin();
@@ -789,12 +784,9 @@ impl Txn {
     /// the footprint uniform for the lock-table accounting.
     pub fn create(&self, data: &[u8], size_hint: Option<u64>) -> Result<LargeObject> {
         let obj = self.with_scope(|st| st.create_with(data, size_hint))?;
-        // Fresh id: guaranteed uncontended, safe to lock after the
-        // fact without holding the latch.
-        self.cs
-            .inner
-            .locks
-            .lock_object(self.id, obj.id, LockMode::Exclusive);
+        // Fresh id: guaranteed uncontended (it never waits), safe to
+        // lock after the fact without holding the latch.
+        self.cs.inner.locks.lock_object(self.id, obj.id)?;
         self.wrote.borrow_mut().insert(obj.id);
         Ok(obj)
     }
@@ -857,19 +849,19 @@ impl Txn {
     /// other's pages twice: one writer per object is the only safe
     /// footprint. A caller's descriptor may predate a commit that ran
     /// while this scope waited for the lock; the committed root is the
-    /// current version once the lock is held.
-    fn lock_for_write(&self, obj: &mut LargeObject) {
-        self.cs
-            .inner
-            .locks
-            .lock_object(self.id, obj.id, LockMode::Exclusive);
+    /// current version once the lock is held. Fails with
+    /// [`Error::Deadlock`] if waiting for the lock would close a cycle;
+    /// the caller's abort (or drop) then releases this scope's locks.
+    fn lock_for_write(&self, obj: &mut LargeObject) -> Result<()> {
+        self.cs.inner.locks.lock_object(self.id, obj.id)?;
         if !self.wrote.borrow_mut().insert(obj.id) {
-            return;
+            return Ok(());
         }
         let committed = self.cs.inner.mvcc.lock().roots.get(obj.id).cloned();
         if let Some(root) = committed {
             *obj = (*root).clone();
         }
+        Ok(())
     }
 
     /// Overwrite bytes under the exclusive object lock. The rewrite is
@@ -877,37 +869,37 @@ impl Txn {
     /// a reader snapshot may be traversing are never overwritten, their
     /// frees are deferred behind the reader epochs.
     pub fn replace(&self, obj: &mut LargeObject, offset: u64, data: &[u8]) -> Result<()> {
-        self.lock_for_write(obj);
+        self.lock_for_write(obj)?;
         self.with_scope(|st| st.replace_shadow(obj, offset, data))
     }
 
     /// Append under the exclusive object lock.
     pub fn append(&self, obj: &mut LargeObject, data: &[u8]) -> Result<()> {
-        self.lock_for_write(obj);
+        self.lock_for_write(obj)?;
         self.with_scope(|st| st.append(obj, data))
     }
 
     /// Insert at `offset` under the exclusive object lock.
     pub fn insert(&self, obj: &mut LargeObject, offset: u64, data: &[u8]) -> Result<()> {
-        self.lock_for_write(obj);
+        self.lock_for_write(obj)?;
         self.with_scope(|st| st.insert(obj, offset, data))
     }
 
     /// Delete a byte range under the exclusive object lock.
     pub fn delete(&self, obj: &mut LargeObject, offset: u64, len: u64) -> Result<()> {
-        self.lock_for_write(obj);
+        self.lock_for_write(obj)?;
         self.with_scope(|st| st.delete(obj, offset, len))
     }
 
     /// Truncate to `new_size` under the exclusive object lock.
     pub fn truncate(&self, obj: &mut LargeObject, new_size: u64) -> Result<()> {
-        self.lock_for_write(obj);
+        self.lock_for_write(obj)?;
         self.with_scope(|st| st.truncate(obj, new_size))
     }
 
     /// Delete the whole object under the exclusive object lock.
     pub fn delete_object(&self, obj: &mut LargeObject) -> Result<()> {
-        self.lock_for_write(obj);
+        self.lock_for_write(obj)?;
         self.with_scope(|st| st.delete_object(obj))
     }
 
@@ -946,7 +938,7 @@ impl Drop for Txn {
 /// Pinning is O(1): the snapshot holds an `Arc` of the committed root
 /// set published by the last commit, plus an epoch pin that keeps
 /// every page those roots reference from being reclaimed. Reads
-/// traverse the trees without any range locks and are byte-stable no
+/// traverse the trees without any locks and are byte-stable no
 /// matter how many writers commit concurrently. Dropping the snapshot
 /// releases the pin; deferred frees parked behind it are applied as
 /// soon as no older pin remains.

@@ -523,6 +523,18 @@ impl DurableWal {
         Ok((pages - 2) / 2)
     }
 
+    /// Whether either superblock slot of a log region at `base` decodes
+    /// (the test [`Self::attach`] applies), reading only the slots that
+    /// lie inside the volume.
+    pub(crate) fn has_superblock(volume: &SharedVolume, base: PageId) -> Result<bool> {
+        for slot in (base..base + 2).filter(|&p| p < volume.num_pages()) {
+            if Superblock::from_page(&volume.read_pages(slot, 1)?).is_some() {
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
+
     /// Format a fresh, empty log region of `pages` pages starting at
     /// volume page `base`.
     pub fn format(volume: SharedVolume, base: PageId, pages: u64) -> Result<DurableWal> {

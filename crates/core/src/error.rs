@@ -60,6 +60,15 @@ pub enum Error {
         /// Bytes one log half can hold.
         available: u64,
     },
+    /// Waiting for an object lock would close a wait-for cycle: the
+    /// holder already waits, directly or down a chain, on `txn`. The
+    /// caller aborts `txn`, which releases its locks, and may retry.
+    Deadlock {
+        /// The refused transaction.
+        txn: u64,
+        /// The object whose lock it requested.
+        object: u64,
+    },
     /// An underlying buddy-allocator error.
     Buddy(eos_buddy::Error),
     /// An underlying volume error.
@@ -93,6 +102,10 @@ impl fmt::Display for Error {
             Error::LogFull { needed, available } => write!(
                 f,
                 "log record of {needed} bytes exceeds the {available}-byte log half"
+            ),
+            Error::Deadlock { txn, object } => write!(
+                f,
+                "transaction {txn} refused the lock on object {object}: waiting would deadlock"
             ),
             Error::Buddy(e) => write!(f, "space manager: {e}"),
             Error::Pager(e) => write!(f, "volume: {e}"),

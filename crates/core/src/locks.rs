@@ -1,359 +1,178 @@
-//! Byte-range locking (§4.5).
-//!
-//! "Concurrency can be handled either by locking the root of the large
-//! object or, for finer granularity, the byte range affected by each
-//! operation \[Care86\]." [`RangeLockManager`] implements the
-//! finer-granularity option: shared/exclusive locks on byte ranges of
-//! an object, held by transactions until explicitly released (strict
-//! two-phase locking). Operations that shift offsets (insert, delete,
-//! append) lock from their start offset **to the end of the object**
-//! (`start..MAX`), since every byte to the right logically moves —
-//! the standard treatment for positional data.
-//!
-//! The manager is a standalone component: the single-writer
-//! [`ObjectStore`](crate::ObjectStore) does not call it internally
-//! (the paper's prototype "runs on a single process, with no support
-//! for transactions"); a multi-client layer acquires locks before
-//! invoking operations, as the tests demonstrate.
+//! Whole-object locking, the coarse option of §4.5: one exclusive owner
+//! per object until commit or abort (strict 2PL). Byte ranges are not
+//! offered: under per-scope root shadowing they lose updates (DESIGN.md
+//! §7). One owner per lock makes the wait-for graph a set of chains;
+//! before blocking and after each wake-up the requester walks the chain
+//! from the holder, and reaching itself fails with [`Error::Deadlock`].
+//! A stale edge points at a finished transaction (locks go only at
+//! commit or abort), which ends the walk: no live transaction is refused.
 
 use std::collections::HashMap;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use eos_obs::{Counter, Histogram, Metrics, PipeKind};
 use parking_lot::{LockClass, TrackedCondvar, TrackedMutex};
 
-/// Lock mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LockMode {
-    /// Shared — byte-range reads.
-    Shared,
-    /// Exclusive — replace/insert/delete/append.
-    Exclusive,
-}
+use crate::error::{Error, Result};
 
 /// A transaction identity.
 pub type TxnId = u64;
 
-#[derive(Debug, Clone, Copy)]
-struct Held {
-    txn: TxnId,
-    lo: u64,
-    hi: u64, // exclusive; u64::MAX = to end of object
-    mode: LockMode,
-}
-
-fn overlaps(a: &Held, lo: u64, hi: u64) -> bool {
-    a.lo < hi && lo < a.hi
-}
-
-fn compatible(a: &Held, txn: TxnId, lo: u64, hi: u64, mode: LockMode) -> bool {
-    a.txn == txn || !overlaps(a, lo, hi) || (a.mode == LockMode::Shared && mode == LockMode::Shared)
-}
-
 #[derive(Default)]
 struct State {
-    /// Held locks per object.
-    held: HashMap<u64, Vec<Held>>,
+    /// Object → owner.
+    owner: HashMap<u64, TxnId>,
+    /// Owner → objects held, so a release touches only its own entries.
+    held: HashMap<TxnId, Vec<u64>>,
+    /// Waiter → the holder it waits on (the wait-for edges).
+    waits: HashMap<TxnId, TxnId>,
 }
 
-/// Pre-resolved instrument handles ([`RangeLockManager::set_metrics`]).
-/// Cloned out of the registration mutex *before* the state latch is
-/// taken and recorded through pure atomics after it is released, so
-/// lock bookkeeping never nests latches.
-#[derive(Clone)]
-struct LockObs {
-    /// Locks granted (both `try_lock` successes and blocking `lock`
-    /// grants) — the counter the MVCC tests pin at zero for readers.
-    acquired: Counter,
-    /// Acquisition attempts that found an incompatible holder
-    /// (`try_lock` denials and `lock` calls that had to wait).
-    conflicts: Counter,
-    /// `lock` calls that actually blocked.
-    blocks: Counter,
-    /// Microseconds blocked, per blocking `lock` call.
-    wait_us: Histogram,
-    /// The eos-trace domain: blocking waits emit `lock.block`
-    /// begin/end pipeline events (trace id = the waiting txn) and feed
-    /// the stall watchdog.
-    metrics: Metrics,
+impl State {
+    /// Whether `txn` waiting on `holder` closes a cycle (bound: a guard).
+    fn closes_cycle(&self, txn: TxnId, holder: TxnId) -> bool {
+        std::iter::successors(Some(holder), |at| self.waits.get(at).copied())
+            .take(self.waits.len() + 1)
+            .any(|at| at == txn)
+    }
 }
 
-struct Shared {
+/// The exclusive per-object lock table of a
+/// [`ConcurrentStore`](crate::ConcurrentStore).
+pub(crate) struct ObjectLocks {
     // lock-class: state = locks.state rank = 20 io = forbidden
     state: TrackedMutex<State>,
     cv: TrackedCondvar,
-    // lock-class: obs = locks.obs rank = 25 io = forbidden
-    obs: TrackedMutex<Option<LockObs>>,
+    /// `locks.*`: grants (repeats included), requests that found another
+    /// holder (counted before waiting), waits, and microseconds waited.
+    acquired: Counter,
+    conflicts: Counter,
+    blocks: Counter,
+    wait_us: Histogram,
+    /// Waits emit `lock.block` begin/end events and feed the watchdog.
+    metrics: Metrics,
 }
 
-impl Default for Shared {
-    fn default() -> Shared {
-        Shared {
+impl ObjectLocks {
+    pub(crate) fn new(metrics: &Metrics) -> ObjectLocks {
+        ObjectLocks {
             state: TrackedMutex::new(LockClass::forbids_io("locks.state"), State::default()),
             cv: TrackedCondvar::new(),
-            obs: TrackedMutex::new(LockClass::forbids_io("locks.obs"), None),
-        }
-    }
-}
-
-/// `Duration` → whole microseconds, saturating.
-fn duration_us(d: Duration) -> u64 {
-    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
-}
-
-/// A shared/exclusive byte-range lock manager with blocking acquisition
-/// and deadlock-avoiding try-acquire.
-///
-/// ```
-/// use eos_core::locks::{LockMode, RangeLockManager};
-///
-/// let lm = RangeLockManager::new();
-/// lm.lock(1, 42, 0, 100, LockMode::Shared);          // txn 1 reads
-/// assert!(lm.try_lock(2, 42, 50, 60, LockMode::Shared));
-/// assert!(!lm.try_lock(3, 42, 10, 20, LockMode::Exclusive));
-/// lm.release_all(1);
-/// lm.release_all(2);
-/// assert!(lm.try_lock(3, 42, 10, 20, LockMode::Exclusive));
-/// ```
-#[derive(Clone, Default)]
-pub struct RangeLockManager {
-    inner: Arc<Shared>,
-}
-
-impl RangeLockManager {
-    /// An empty lock manager.
-    pub fn new() -> RangeLockManager {
-        RangeLockManager::default()
-    }
-
-    /// Route grant/conflict/block counts and the blocked-time histogram
-    /// into `metrics` (`locks.acquired`, `locks.conflicts`,
-    /// `locks.blocks`, `locks.wait_us`).
-    pub fn set_metrics(&self, metrics: &Metrics) {
-        *self.inner.obs.lock() = Some(LockObs {
             acquired: metrics.counter("locks.acquired"),
             conflicts: metrics.counter("locks.conflicts"),
             blocks: metrics.counter("locks.blocks"),
             wait_us: metrics.histogram("locks.wait_us"),
             metrics: metrics.clone(),
-        });
+        }
     }
 
-    fn obs(&self) -> Option<LockObs> {
-        self.inner.obs.lock().clone()
-    }
-
-    /// Try to acquire a lock without blocking. Returns `false` on
-    /// conflict.
-    pub fn try_lock(&self, txn: TxnId, object: u64, lo: u64, hi: u64, mode: LockMode) -> bool {
-        assert!(lo < hi, "empty lock range");
-        let obs = self.obs();
-        let granted = {
-            let mut st = self.inner.state.lock();
-            let held = st.held.entry(object).or_default();
-            if held.iter().all(|h| compatible(h, txn, lo, hi, mode)) {
-                held.push(Held { txn, lo, hi, mode });
-                true
-            } else {
-                false
+    /// Lock `object` for `txn`, waiting while another transaction holds
+    /// it; [`Error::Deadlock`] if waiting would close a cycle.
+    pub(crate) fn lock_object(&self, txn: TxnId, object: u64) -> Result<()> {
+        let (mut blocked, mut st) = (None, self.state.lock());
+        let granted = loop {
+            let holder = match st.owner.get(&object) {
+                Some(&h) if h == txn => break Ok(()),
+                Some(&h) => h,
+                None => {
+                    st.owner.insert(object, txn);
+                    st.held.entry(txn).or_default().push(object);
+                    break Ok(());
+                }
+            };
+            if blocked.is_none() {
+                self.conflicts.inc();
             }
+            if st.closes_cycle(txn, holder) {
+                break Err(Error::Deadlock { txn, object });
+            }
+            st.waits.insert(txn, holder);
+            blocked.get_or_insert_with(|| {
+                self.metrics
+                    .pipe_event(PipeKind::Begin, "lock.block", txn, 0);
+                Instant::now()
+            });
+            self.cv.wait(&mut st);
         };
-        if let Some(o) = &obs {
-            if granted {
-                o.acquired.inc();
-            } else {
-                o.conflicts.inc();
-            }
+        st.waits.remove(&txn);
+        drop(st);
+        if granted.is_ok() {
+            self.acquired.inc();
+        }
+        if let Some(t0) = blocked {
+            let waited = t0.elapsed();
+            self.blocks.inc();
+            let ns = u64::try_from(waited.as_nanos()).unwrap_or(u64::MAX);
+            self.wait_us.record(ns / 1_000);
+            self.metrics.pipe_event(PipeKind::End, "lock.block", txn, 0);
+            self.metrics.check_stall("lock.block", txn, 0, ns);
         }
         granted
     }
 
-    /// Acquire a lock, blocking until it is grantable.
-    pub fn lock(&self, txn: TxnId, object: u64, lo: u64, hi: u64, mode: LockMode) {
-        assert!(lo < hi, "empty lock range");
-        let obs = self.obs();
-        let t0 = Instant::now();
-        let mut waited = false;
-        {
-            let mut st = self.inner.state.lock();
-            loop {
-                let held = st.held.entry(object).or_default();
-                if held.iter().all(|h| compatible(h, txn, lo, hi, mode)) {
-                    held.push(Held { txn, lo, hi, mode });
-                    break;
-                }
-                if !waited {
-                    waited = true;
-                    // Mark the block on the pipeline timeline as it
-                    // begins (the matching end is emitted after the
-                    // grant, outside the state latch).
-                    if let Some(o) = &obs {
-                        o.metrics.pipe_event(PipeKind::Begin, "lock.block", txn, 0);
-                    }
-                }
-                self.inner.cv.wait(&mut st);
+    /// Release every lock `txn` holds and wake the waiters.
+    pub(crate) fn release_all(&self, txn: TxnId) {
+        let mut st = self.state.lock();
+        if let Some(objects) = st.held.remove(&txn) {
+            for object in objects {
+                st.owner.remove(&object);
             }
+            self.cv.notify_all();
         }
-        if let Some(o) = &obs {
-            o.acquired.inc();
-            if waited {
-                o.conflicts.inc();
-                o.blocks.inc();
-                let blocked = t0.elapsed();
-                o.wait_us.record(duration_us(blocked));
-                o.metrics.pipe_event(PipeKind::End, "lock.block", txn, 0);
-                o.metrics.check_stall(
-                    "lock.block",
-                    txn,
-                    0,
-                    u64::try_from(blocked.as_nanos()).unwrap_or(u64::MAX),
-                );
-            }
-        }
-    }
-
-    /// Lock the whole object (the coarse option the paper mentions).
-    pub fn lock_object(&self, txn: TxnId, object: u64, mode: LockMode) {
-        self.lock(txn, object, 0, u64::MAX, mode);
-    }
-
-    /// Lock `start..end-of-object` — what the offset-shifting
-    /// operations (insert/delete/append) need.
-    pub fn lock_tail(&self, txn: TxnId, object: u64, start: u64, mode: LockMode) {
-        self.lock(txn, object, start, u64::MAX, mode);
-    }
-
-    /// Release every lock the transaction holds (commit or abort —
-    /// strict 2PL releases at the end).
-    pub fn release_all(&self, txn: TxnId) {
-        let mut st = self.inner.state.lock();
-        for held in st.held.values_mut() {
-            held.retain(|h| h.txn != txn);
-        }
-        st.held.retain(|_, v| !v.is_empty());
-        self.inner.cv.notify_all();
-    }
-
-    /// Locks currently held on an object (diagnostics).
-    pub fn held_count(&self, object: u64) -> usize {
-        self.inner
-            .state
-            .lock()
-            .held
-            .get(&object)
-            .map_or(0, Vec::len)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::time::Duration;
-
-    #[test]
-    fn shared_locks_coexist_exclusive_do_not() {
-        let lm = RangeLockManager::new();
-        assert!(lm.try_lock(1, 7, 0, 100, LockMode::Shared));
-        assert!(lm.try_lock(2, 7, 50, 150, LockMode::Shared));
-        assert!(!lm.try_lock(3, 7, 50, 60, LockMode::Exclusive));
-        // Disjoint exclusive is fine.
-        assert!(lm.try_lock(3, 7, 150, 200, LockMode::Exclusive));
-        // Other objects are independent.
-        assert!(lm.try_lock(3, 8, 0, 100, LockMode::Exclusive));
-        lm.release_all(1);
-        lm.release_all(2);
-        assert!(lm.try_lock(3, 7, 50, 60, LockMode::Exclusive));
-    }
 
     #[test]
     fn reacquire_by_same_txn_is_compatible() {
-        let lm = RangeLockManager::new();
-        assert!(lm.try_lock(1, 7, 0, 100, LockMode::Exclusive));
-        assert!(lm.try_lock(1, 7, 50, 150, LockMode::Exclusive));
-        assert_eq!(lm.held_count(7), 2);
+        let lm = ObjectLocks::new(&Metrics::new());
+        lm.lock_object(1, 7).unwrap();
+        lm.lock_object(1, 7).unwrap();
+        assert_eq!(lm.state.lock().held[&1], vec![7]);
         lm.release_all(1);
-        assert_eq!(lm.held_count(7), 0);
-    }
-
-    #[test]
-    fn tail_locks_conflict_with_everything_to_the_right() {
-        let lm = RangeLockManager::new();
-        lm.lock_tail(1, 7, 1000, LockMode::Exclusive);
-        assert!(!lm.try_lock(2, 7, 5000, 5001, LockMode::Shared));
-        assert!(lm.try_lock(2, 7, 0, 1000, LockMode::Shared));
+        let st = lm.state.lock();
+        assert!(st.owner.is_empty() && st.held.is_empty() && st.waits.is_empty());
     }
 
     #[test]
     fn blocking_lock_wakes_on_release() {
-        let lm = RangeLockManager::new();
-        lm.lock(1, 7, 0, 100, LockMode::Exclusive);
+        let lm = std::sync::Arc::new(ObjectLocks::new(&Metrics::new()));
+        lm.lock_object(1, 7).unwrap();
         let lm2 = lm.clone();
-        let acquired = Arc::new(AtomicU64::new(0));
-        let acquired2 = acquired.clone();
-        let t = std::thread::spawn(move || {
-            lm2.lock(2, 7, 0, 10, LockMode::Exclusive);
-            acquired2.store(1, Ordering::SeqCst);
-            lm2.release_all(2);
-        });
-        std::thread::sleep(Duration::from_millis(50));
-        assert_eq!(acquired.load(Ordering::SeqCst), 0, "still blocked");
+        let waiter = std::thread::spawn(move || lm2.lock_object(2, 7));
+        while !lm.state.lock().waits.contains_key(&2) {
+            std::thread::yield_now();
+        }
         lm.release_all(1);
-        t.join().unwrap();
-        assert_eq!(acquired.load(Ordering::SeqCst), 1);
+        waiter.join().unwrap().unwrap();
     }
 
+    /// Txn 2 waits for txn 1; txn 1's request for txn 2's object would
+    /// close the cycle and is refused without waiting.
     #[test]
     fn metrics_capture_conflicts_blocks_and_waits() {
         let m = Metrics::new();
-        let lm = RangeLockManager::new();
-        lm.set_metrics(&m);
-        assert!(lm.try_lock(1, 7, 0, 100, LockMode::Exclusive));
-        assert!(!lm.try_lock(2, 7, 0, 10, LockMode::Shared), "conflict");
+        let lm = std::sync::Arc::new(ObjectLocks::new(&m));
+        lm.lock_object(1, 7).unwrap();
+        lm.lock_object(2, 8).unwrap();
         let lm2 = lm.clone();
-        let t = std::thread::spawn(move || {
-            lm2.lock(2, 7, 0, 10, LockMode::Shared);
-            lm2.release_all(2);
-        });
-        std::thread::sleep(Duration::from_millis(50));
+        let waiter = std::thread::spawn(move || lm2.lock_object(2, 7));
+        while m.snapshot().counter("locks.conflicts") != Some(1) {
+            std::thread::yield_now();
+        }
+        let refused = lm.lock_object(1, 8).unwrap_err();
+        assert!(matches!(refused, Error::Deadlock { txn: 1, object: 8 }));
         lm.release_all(1);
-        t.join().unwrap();
+        waiter.join().unwrap().unwrap();
         let snap = m.snapshot();
+        assert_eq!(snap.counter("locks.acquired"), Some(3));
         assert_eq!(snap.counter("locks.conflicts"), Some(2));
         assert_eq!(snap.counter("locks.blocks"), Some(1));
         let wait = snap.histogram("locks.wait_us").unwrap();
         assert_eq!(wait.count, 1);
         assert!(wait.sum > 0, "blocked for a measurable time");
-    }
-
-    #[test]
-    fn concurrent_readers_one_writer_stress() {
-        let lm = RangeLockManager::new();
-        let counter = Arc::new(AtomicU64::new(0));
-        let mut threads = Vec::new();
-        for txn in 0..8u64 {
-            let lm = lm.clone();
-            let counter = counter.clone();
-            threads.push(std::thread::spawn(move || {
-                for i in 0..200u64 {
-                    let lo = (txn * 37 + i * 13) % 1000;
-                    let hi = lo + 1 + (i % 50);
-                    let mode = if (txn + i) % 4 == 0 {
-                        LockMode::Exclusive
-                    } else {
-                        LockMode::Shared
-                    };
-                    lm.lock(txn, 1, lo, hi, mode);
-                    counter.fetch_add(1, Ordering::SeqCst);
-                    lm.release_all(txn);
-                }
-            }));
-        }
-        for t in threads {
-            t.join().unwrap();
-        }
-        assert_eq!(counter.load(Ordering::SeqCst), 8 * 200);
-        assert_eq!(lm.held_count(1), 0);
     }
 }

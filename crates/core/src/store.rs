@@ -8,8 +8,8 @@ use eos_buddy::{BuddyManager, Extent, FreeBatch};
 use eos_obs::{Metrics, MetricsSnapshot, OpKind};
 use eos_pager::{IoStats, PageId, SharedVolume};
 
-use crate::config::{StoreConfig, Threshold};
-use crate::durable::WalEntry;
+use crate::config::StoreConfig;
+use crate::durable::{DurableWal, WalEntry};
 use crate::error::{Error, Result};
 use crate::locks::TxnId;
 use crate::node::{node_capacity, Node};
@@ -162,6 +162,10 @@ impl ObjectStore {
     /// directory back from the volume. Objects are reattached by
     /// deserializing their client-held descriptors
     /// ([`LargeObject::from_bytes`]).
+    ///
+    /// A volume that carries a log region after its spaces is refused
+    /// with [`Error::Unsupported`]: its directory pages are only as fresh
+    /// as its last recovery, so it opens with [`Self::open_durable`].
     pub fn open(
         volume: SharedVolume,
         num_spaces: usize,
@@ -169,6 +173,16 @@ impl ObjectStore {
         config: StoreConfig,
         next_object_id: u64,
     ) -> Result<ObjectStore> {
+        let base = (pages_per_space + 1) * num_spaces as u64;
+        if DurableWal::has_superblock(&volume, base)? {
+            return Err(Error::Unsupported {
+                op: "open",
+                reason: format!(
+                    "the volume has a log region at page {base}; reopen it with \
+                     `open_durable`, which rebuilds the directories from the log"
+                ),
+            });
+        }
         let mut buddy = BuddyManager::open(volume.clone(), num_spaces, pages_per_space)?;
         let obs = Metrics::new();
         buddy.set_metrics(&obs);
@@ -429,16 +443,6 @@ impl ObjectStore {
     /// restores autocommit behaviour for durable stores).
     pub fn set_active_scope(&mut self, id: Option<TxnId>) {
         self.active = id;
-    }
-
-    /// The scope mutating operations currently charge to.
-    pub fn active_scope(&self) -> Option<TxnId> {
-        self.active
-    }
-
-    /// Does `id` name an open scope?
-    pub fn scope_is_open(&self, id: TxnId) -> bool {
-        self.txns.contains_key(&id)
     }
 
     /// Has the scope done anything a durable commit must sync — touched
@@ -859,12 +863,6 @@ impl ObjectStore {
     pub(crate) fn effective_threshold(&self, obj: &LargeObject, parent_entries: usize) -> u64 {
         let cap = self.node_cap();
         u64::from(obj.threshold.effective(parent_entries, cap))
-    }
-
-    /// Default threshold value for fresh objects (experiments tweak it
-    /// via [`StoreConfig`]).
-    pub fn default_threshold(&self) -> Threshold {
-        self.config.threshold
     }
 
     /// Record a §4.4 local reshuffle: the insert/delete planner decided

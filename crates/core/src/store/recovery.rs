@@ -13,8 +13,8 @@
 //!    written back, newest first. Every other operation was shadowed,
 //!    so its effects live only on pages no committed root references —
 //!    ignoring them *is* the rollback.
-//! 3. **Rebuild** — the buddy directories are reformatted and the
-//!    allocation bitmap is reconstructed from scratch: the boot page
+//! 3. **Rebuild** — the buddy directories are reformatted in memory and
+//!    the allocation bitmap is reconstructed from scratch: the boot page
 //!    plus every page extent reachable from a committed root. This one
 //!    stroke reconciles everything the crash could have left behind —
 //!    half-applied deferred frees, allocations of the doomed
@@ -162,10 +162,10 @@ impl ObjectStore {
         }
 
         // 3. Rebuild the allocator from scratch: reformat the
-        // directories (data pages untouched), then mark the boot page
-        // and every extent a committed root reaches.
-        let mut buddy = BuddyManager::create(volume.clone(), num_spaces, pages_per_space)?;
-        buddy.set_write_back(false);
+        // directories in memory (nothing is written yet, data pages
+        // untouched), then mark the boot page and every extent a
+        // committed root reaches.
+        let mut buddy = BuddyManager::create_unwritten(volume.clone(), num_spaces, pages_per_space);
         let boot = buddy.space(0).data_base();
         buddy.allocate_at(boot, 1)?;
         buddy.set_metrics(metrics);
@@ -186,8 +186,9 @@ impl ObjectStore {
                 store.buddy.allocate_at(start, pages)?;
             }
         }
-        // One write per space leaves the on-disk directories as of this
-        // rebuild; nothing reads them back, the next open rebuilds too.
+        // The one write per space: it leaves the on-disk directories as
+        // of this rebuild; nothing reads them back, the next open
+        // rebuilds too.
         store.buddy.flush_directories()?;
         store.next_id = objects
             .iter()

@@ -41,15 +41,6 @@ impl ObjectStats {
         }
         self.size as f64 / (self.leaf_pages * page_size as u64) as f64
     }
-
-    /// Utilization counting index pages too.
-    pub fn total_utilization(&self, page_size: usize) -> f64 {
-        let pages = self.leaf_pages + self.index_pages;
-        if pages == 0 {
-            return 1.0;
-        }
-        self.size as f64 / (pages * page_size as u64) as f64
-    }
 }
 
 /// One broken structural invariant found while walking an object.

@@ -1,180 +1,178 @@
-//! Integration tests for the §4.5 byte-range lock manager (satellite
-//! S3): the full shared/exclusive conflict matrix, blocking on
-//! overlapping ranges, the `start..MAX` tail-lock semantics the
-//! offset-shifting operations need, strict-2PL release at commit, and
-//! a deadlock-free two-transaction interleaving driven through a real
-//! [`ObjectStore`].
+//! The §4.5 object lock as a `ConcurrentStore` writer sees it: a write
+//! waits while another transaction holds the object, whatever bytes
+//! either touches; strict 2PL releases every lock at commit and leaves
+//! no entry behind; and two transactions colliding in opposite orders
+//! end in a typed error that the refused one backs off from, not a hang.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::mpsc;
+use std::sync::{Arc, Barrier};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
-use eos_core::locks::{LockMode, RangeLockManager, TxnId};
-use eos_core::ObjectStore;
+use eos_core::obs::Metrics;
+use eos_core::{ConcurrentStore, Error, LargeObject, ObjectStore, StoreConfig, Txn};
+use eos_pager::{DiskProfile, MemVolume};
 
-const OBJ: u64 = 42;
+/// A durable store whose lock metrics land in `metrics`, with two
+/// committed 2 000-byte objects.
+fn store(metrics: &Metrics) -> (ConcurrentStore, LargeObject, LargeObject) {
+    let volume = MemVolume::with_profile(1024, 2 * 257 + 62, DiskProfile::FREE).shared();
+    let mut store =
+        ObjectStore::create_durable(volume, 2, 256, StoreConfig::default(), 62).unwrap();
+    store.set_metrics(metrics);
+    let cs = ConcurrentStore::new(store);
+    let txn = cs.begin();
+    let a = txn.create(&[0u8; 2_000], None).unwrap();
+    let b = txn.create(&[0u8; 2_000], None).unwrap();
+    txn.commit().unwrap();
+    (cs, a, b)
+}
 
-/// The four cells of the S/X conflict matrix, on overlapping ranges.
-#[test]
-fn conflict_matrix() {
-    let cases = [
-        (LockMode::Shared, LockMode::Shared, true),
-        (LockMode::Shared, LockMode::Exclusive, false),
-        (LockMode::Exclusive, LockMode::Shared, false),
-        (LockMode::Exclusive, LockMode::Exclusive, false),
-    ];
-    for (first, second, compatible) in cases {
-        let lm = RangeLockManager::new();
-        assert!(lm.try_lock(1, OBJ, 0, 100, first));
-        assert_eq!(
-            lm.try_lock(2, OBJ, 50, 150, second),
-            compatible,
-            "{first:?} then {second:?}"
-        );
-        // Disjoint ranges never conflict, whatever the modes.
-        assert!(lm.try_lock(2, OBJ, 200, 300, second));
-        // Neither do other objects.
-        assert!(lm.try_lock(2, OBJ + 1, 0, 100, second));
+fn counter(metrics: &Metrics, name: &str) -> u64 {
+    metrics.snapshot().counter(name).unwrap_or(0)
+}
+
+/// Run `f` in a transaction on its own thread and return once it has
+/// found the lock it needs held (`locks.conflicts` moved): it is then
+/// parked, or about to park, on the holder.
+fn blocked_writer(
+    cs: &ConcurrentStore,
+    metrics: &Metrics,
+    f: impl FnOnce(&Txn) + Send + 'static,
+) -> JoinHandle<()> {
+    let before = counter(metrics, "locks.conflicts");
+    let cs = cs.clone();
+    let t = std::thread::spawn(move || {
+        let txn = cs.begin();
+        f(&txn);
+        txn.commit().unwrap();
+    });
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while counter(metrics, "locks.conflicts") == before {
+        assert!(Instant::now() < deadline, "the writer never met the lock");
+        std::thread::yield_now();
     }
+    t
 }
 
-/// Edge-adjacent ranges (`[0,100)` and `[100,200)`) do not overlap;
-/// one shared byte does.
-#[test]
-fn overlap_is_half_open() {
-    let lm = RangeLockManager::new();
-    assert!(lm.try_lock(1, OBJ, 0, 100, LockMode::Exclusive));
-    assert!(lm.try_lock(2, OBJ, 100, 200, LockMode::Exclusive));
-    assert!(!lm.try_lock(3, OBJ, 99, 100, LockMode::Shared));
-}
-
-/// A blocking `lock` on an overlapping range parks until the holder
-/// releases, then proceeds.
+/// A write to an overlapping range waits until the holder commits, then
+/// edits the version the holder committed.
 #[test]
 fn overlapping_range_blocks_until_release() {
-    let lm = RangeLockManager::new();
-    lm.lock(1, OBJ, 0, 1000, LockMode::Exclusive);
-    let done = Arc::new(AtomicUsize::new(0));
-    let t = {
-        let lm = lm.clone();
-        let done = done.clone();
-        std::thread::spawn(move || {
-            lm.lock(2, OBJ, 500, 600, LockMode::Shared);
-            done.store(1, Ordering::SeqCst);
-            lm.release_all(2);
-        })
-    };
-    std::thread::sleep(Duration::from_millis(40));
-    assert_eq!(done.load(Ordering::SeqCst), 0, "reader must wait");
-    lm.release_all(1);
+    let m = Metrics::new();
+    let (cs, mut a, _) = store(&m);
+    let holder = cs.begin();
+    holder.replace(&mut a, 0, &[1u8; 1_000]).unwrap();
+    let mut a2 = a.clone();
+    let t = blocked_writer(&cs, &m, move |txn| {
+        txn.replace(&mut a2, 500, &[2u8; 100]).unwrap();
+    });
+    holder.commit().unwrap();
     t.join().unwrap();
-    assert_eq!(done.load(Ordering::SeqCst), 1);
+    let bytes = cs.snapshot().read_all(a.id()).unwrap();
+    assert_eq!(&bytes[..500], &[1u8; 500][..]);
+    assert_eq!(&bytes[500..600], &[2u8; 100][..]);
+    assert_eq!(&bytes[600..1_000], &[1u8; 400][..]);
+    assert_eq!(counter(&m, "locks.blocks"), 1);
 }
 
-/// Insert/delete/append shift every byte to their right, so they take
-/// `start..u64::MAX`: everything at or past `start` conflicts, while
-/// readers strictly to the left are untouched.
-#[test]
-fn tail_lock_covers_every_shifted_byte() {
-    let lm = RangeLockManager::new();
-    lm.lock_tail(1, OBJ, 1_000, LockMode::Exclusive);
-    // Arbitrarily far to the right still conflicts …
-    assert!(!lm.try_lock(2, OBJ, u64::MAX - 1, u64::MAX, LockMode::Shared));
-    assert!(!lm.try_lock(2, OBJ, 1_000, 1_001, LockMode::Shared));
-    // … the stable prefix does not.
-    assert!(lm.try_lock(2, OBJ, 0, 1_000, LockMode::Shared));
-    // A second tail lock anywhere overlaps the first (both run to MAX).
-    assert!(!lm.try_lock(3, OBJ, u64::MAX - 1, u64::MAX, LockMode::Exclusive));
-    lm.release_all(1);
-    assert!(lm.try_lock(3, OBJ, 1_000, 1_001, LockMode::Exclusive));
-}
-
-/// `lock_object` is the coarse option the paper mentions first: it
-/// covers byte 0 onward, so it conflicts with every range.
+/// The lock covers the object, so even a disjoint byte range waits,
+/// while another object is free.
 #[test]
 fn whole_object_lock_blocks_all_ranges() {
-    let lm = RangeLockManager::new();
-    lm.lock_object(1, OBJ, LockMode::Exclusive);
-    assert!(!lm.try_lock(2, OBJ, 0, 1, LockMode::Shared));
-    assert!(!lm.try_lock(2, OBJ, 1 << 40, (1 << 40) + 1, LockMode::Shared));
-    assert!(lm.try_lock(2, OBJ + 1, 0, 1, LockMode::Exclusive));
+    let m = Metrics::new();
+    let (cs, mut a, mut b) = store(&m);
+    let holder = cs.begin();
+    holder.replace(&mut a, 0, &[1u8; 10]).unwrap();
+    let other = cs.begin();
+    other.replace(&mut b, 0, &[3u8; 10]).unwrap();
+    other.commit().unwrap();
+    assert_eq!(counter(&m, "locks.conflicts"), 0, "another object is free");
+
+    let mut a2 = a.clone();
+    let t = blocked_writer(&cs, &m, move |txn| {
+        txn.append(&mut a2, &[2u8; 10]).unwrap();
+    });
+    holder.abort().unwrap();
+    t.join().unwrap();
+    assert_eq!(cs.snapshot().size_of(a.id()).unwrap(), 2_010);
 }
 
 /// Strict 2PL: a transaction accumulates locks while it works and
-/// releases them all at commit — nothing leaks, and a waiter sees the
-/// whole set vanish at once.
+/// releases them all at commit. A waiter that needs two of them sees
+/// the whole set vanish at once, and no entry leaks: a later writer of
+/// both objects never waits.
 #[test]
 fn strict_2pl_releases_everything_at_commit() {
-    let lm = RangeLockManager::new();
-    lm.lock(1, OBJ, 0, 10, LockMode::Shared);
-    lm.lock(1, OBJ, 90, 120, LockMode::Exclusive);
-    lm.lock_tail(1, OBJ, 500, LockMode::Exclusive);
-    lm.lock(1, OBJ + 1, 0, 10, LockMode::Exclusive);
-    assert_eq!(lm.held_count(OBJ), 3);
-    assert_eq!(lm.held_count(OBJ + 1), 1);
-
-    // A waiter that needs two of those ranges at once.
-    let done = Arc::new(AtomicUsize::new(0));
-    let t = {
-        let lm = lm.clone();
-        let done = done.clone();
-        std::thread::spawn(move || {
-            lm.lock(2, OBJ, 100, 110, LockMode::Shared);
-            lm.lock(2, OBJ, 600, 700, LockMode::Shared);
-            done.store(1, Ordering::SeqCst);
-            lm.release_all(2);
-        })
-    };
-    std::thread::sleep(Duration::from_millis(40));
-    assert_eq!(done.load(Ordering::SeqCst), 0);
-    lm.release_all(1); // commit
+    let m = Metrics::new();
+    let (cs, mut a, mut b) = store(&m);
+    let holder = cs.begin();
+    holder.replace(&mut a, 0, &[1u8; 10]).unwrap();
+    holder.insert(&mut a, 90, &[1u8; 30]).unwrap();
+    holder.delete(&mut b, 500, 10).unwrap();
+    let (mut a2, mut b2) = (a.clone(), b.clone());
+    let t = blocked_writer(&cs, &m, move |txn| {
+        txn.replace(&mut a2, 100, &[2u8; 10]).unwrap();
+        txn.replace(&mut b2, 600, &[2u8; 10]).unwrap();
+    });
+    holder.commit().unwrap();
     t.join().unwrap();
-    assert_eq!(lm.held_count(OBJ), 0);
-    assert_eq!(lm.held_count(OBJ + 1), 0);
+    assert_eq!(counter(&m, "locks.blocks"), 1, "one wait, for both locks");
+
+    let later = cs.begin();
+    later.truncate(&mut a, 100).unwrap();
+    later.truncate(&mut b, 100).unwrap();
+    later.commit().unwrap();
+    assert_eq!(counter(&m, "locks.conflicts"), 1, "a lock outlived its txn");
 }
 
-/// Two transactions drive interleaved operations against one store,
-/// each acquiring its locks *before* calling in (the layering the
-/// module docs prescribe) with try-lock + full back-off on conflict —
-/// the textbook deadlock-free discipline: no one waits while holding.
+/// Two transactions take the two objects in opposite orders, the
+/// classic deadlock shape. The one whose wait would close the cycle is
+/// refused with `Error::Deadlock`, backs off (its abort releases its
+/// lock, then it pauses) and retries from scratch: both updates land,
+/// once each, and nothing hangs. Locks are not handed to waiters in
+/// order, so a retry that comes back before the woken waiter runs can
+/// take its first lock again and be refused again; the pause makes
+/// that rare, and the count is only bounded below.
 #[test]
 fn two_txn_interleaving_with_backoff_never_deadlocks() {
-    let lm = RangeLockManager::new();
-    let mut store = ObjectStore::in_memory(256, 200);
-    let mut obj = store.create_with(&[0u8; 2_000], None).unwrap();
-    let id = obj.id();
-
-    // Each step: (txn, range, exclusive?) — crafted so the two
-    // transactions collide on [500,1500) in opposite acquisition
-    // orders, the classic deadlock shape.
-    let plan: &[(TxnId, u64, u64)] = &[(1, 500, 1_000), (2, 1_000, 1_500), (1, 900, 1_100)];
-    let mut acquired: Vec<TxnId> = Vec::new();
-    for &(txn, lo, hi) in plan {
-        if lm.try_lock(txn, id, lo, hi, LockMode::Exclusive) {
-            acquired.push(txn);
-        } else {
-            // Conflict: back off completely (release, not wait) — the
-            // other transaction can always finish, so progress is
-            // guaranteed for one of the two.
-            assert_eq!(txn, 1, "only txn 1's second range collides");
-            lm.release_all(txn);
-            acquired.retain(|&t| t != txn);
-        }
+    let m = Metrics::new();
+    let (cs, a, b) = store(&m);
+    let both_hold_one = Arc::new(Barrier::new(2));
+    let (tx, rx) = mpsc::channel();
+    for (at, stamp, first, second) in [(0, 1u8, &a, &b), (1_000, 2, &b, &a)] {
+        let (cs, barrier, tx) = (cs.clone(), both_hold_one.clone(), tx.clone());
+        let (mut first, mut second) = (first.clone(), second.clone());
+        std::thread::spawn(move || {
+            let mut refusals = 0;
+            loop {
+                let txn = cs.begin();
+                txn.replace(&mut first, at, &[stamp; 100]).unwrap();
+                if refusals == 0 {
+                    barrier.wait();
+                }
+                match txn.replace(&mut second, at, &[stamp; 100]) {
+                    Ok(()) => break txn.commit().unwrap(),
+                    Err(Error::Deadlock { .. }) => refusals += 1,
+                    Err(e) => panic!("{e}"),
+                }
+                txn.abort().unwrap();
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            tx.send(refusals).unwrap();
+        });
     }
-    assert_eq!(acquired, vec![2], "txn 1 backed off, txn 2 holds its lock");
-
-    // Txn 2 commits its replace under the lock it holds.
-    store.replace(&mut obj, 1_000, &[7u8; 500]).unwrap();
-    lm.release_all(2);
-
-    // Txn 1 retries from scratch and now sails through.
-    assert!(lm.try_lock(1, id, 500, 1_000, LockMode::Exclusive));
-    assert!(lm.try_lock(1, id, 900, 1_100, LockMode::Exclusive));
-    store.replace(&mut obj, 500, &[9u8; 400]).unwrap();
-    lm.release_all(1);
-
-    let bytes = store.read_all(&obj).unwrap();
-    assert_eq!(&bytes[500..900], &[9u8; 400][..]);
-    assert_eq!(&bytes[1_000..1_500], &[7u8; 500][..]);
-    assert_eq!(lm.held_count(id), 0);
+    let refusals: u32 = (0..2)
+        .map(|_| {
+            rx.recv_timeout(Duration::from_secs(60))
+                .expect("the schedule hung")
+        })
+        .sum();
+    assert!(refusals >= 1, "the opposite orders never met");
+    let snap = cs.snapshot();
+    for id in [a.id(), b.id()] {
+        let bytes = snap.read_all(id).unwrap();
+        assert_eq!(&bytes[..100], &[1u8; 100][..]);
+        assert_eq!(&bytes[1_000..1_100], &[2u8; 100][..]);
+    }
 }

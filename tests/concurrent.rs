@@ -1,11 +1,12 @@
 //! Concurrency smoke tests: shared read access across threads (reads
-//! take `&ObjectStore`), plus a locked multi-writer protocol built from
-//! the §4.5 [`RangeLockManager`].
+//! take `&ObjectStore`), writers serialized by the §4.5 whole-object
+//! lock of a `ConcurrentStore`, and a lock cycle refused with a typed
+//! error instead of a hang.
 
-use eos::core::locks::{LockMode, RangeLockManager};
-use eos::core::{ObjectStore, StoreConfig, Threshold};
+use eos::core::{ConcurrentStore, Error, LargeObject, ObjectStore, StoreConfig, Threshold};
 use eos::pager::{DiskProfile, MemVolume};
-use std::sync::{Arc, Barrier, Mutex, RwLock};
+use std::sync::{mpsc, Arc, Barrier, Mutex, RwLock};
+use std::time::Duration;
 
 fn pattern(len: usize) -> Vec<u8> {
     (0..len).map(|i| ((i * 11) % 251) as u8).collect()
@@ -64,53 +65,122 @@ fn parallel_readers_share_the_store() {
 
 #[test]
 fn locked_writers_serialize_correctly() {
-    // Multiple writer threads share one store behind a mutex (the store
-    // is single-writer, as in the paper's prototype) and use the range
-    // lock manager as the §4.5 concurrency-control protocol: exclusive
-    // tail locks for inserts, shared locks for reads.
-    let store = Arc::new(Mutex::new(ObjectStore::in_memory(1024, 8_000)));
-    let obj = {
-        let mut s = store.lock().unwrap();
-        let o = s.create_with(&pattern(100_000), None).unwrap();
-        Arc::new(Mutex::new(o))
-    };
-    let locks = RangeLockManager::new();
+    // Six writer threads insert into one shared object, one transaction
+    // per insert. The exclusive object lock serializes them, and each
+    // transaction rebases on the root its predecessor committed, so
+    // every insert lands and every commit succeeds.
+    let cs = ConcurrentStore::new(durable_store());
+    let txn = cs.begin();
+    let obj = txn.create(&pattern(100_000), None).unwrap();
+    txn.commit().unwrap();
 
     let mut threads = Vec::new();
-    for txn in 0..6u64 {
-        let store = store.clone();
-        let obj = obj.clone();
-        let locks = locks.clone();
+    for t in 0..6u64 {
+        let (cs, mut obj) = (cs.clone(), obj.clone());
         threads.push(std::thread::spawn(move || {
             for i in 0..50u64 {
-                let off = (txn * 9973 + i * 131) % 90_000;
-                // Insert shifts everything right of `off`.
-                locks.lock_tail(txn, 1, off, LockMode::Exclusive);
-                {
-                    let mut s = store.lock().unwrap();
-                    let mut o = obj.lock().unwrap();
-                    s.insert(&mut o, off, &[txn as u8; 16]).unwrap();
-                }
-                locks.release_all(txn);
-
-                // Shared read of a fixed prefix.
-                locks.lock(txn, 1, 0, 64, LockMode::Shared);
-                {
-                    let s = store.lock().unwrap();
-                    let o = obj.lock().unwrap();
-                    let _ = s.read(&o, 0, 64).unwrap();
-                }
-                locks.release_all(txn);
+                let off = (t * 9973 + i * 131) % 90_000;
+                let txn = cs.begin();
+                txn.insert(&mut obj, off, &[t as u8; 16]).unwrap();
+                assert_eq!(txn.read(&obj, off, 16).unwrap(), [t as u8; 16]);
+                txn.commit().unwrap();
             }
         }));
     }
     for t in threads {
         t.join().unwrap();
     }
-    let s = store.lock().unwrap();
-    let o = obj.lock().unwrap();
-    assert_eq!(o.size(), 100_000 + 6 * 50 * 16);
-    s.verify_object(&o).unwrap();
+    let committed = cs.snapshot().object(obj.id()).unwrap();
+    assert_eq!(committed.size(), 100_000 + 6 * 50 * 16);
+    check_clean(cs, &[committed]);
+}
+
+/// Two writers take objects A and B in opposite orders. Waiting for its
+/// second lock would close a cycle for exactly one of them: that one
+/// gets `Error::Deadlock` and aborts, which lets the other commit. The
+/// watchdog turns a regression into a failure instead of a hang.
+#[test]
+fn ab_ba_lock_cycle_ends_in_one_commit_and_one_deadlock() {
+    let cs = ConcurrentStore::new(durable_store());
+    let txn = cs.begin();
+    let a = txn.create(&pattern(4_000), None).unwrap();
+    let b = txn.create(&pattern(4_000), None).unwrap();
+    txn.commit().unwrap();
+
+    let both_hold_one = Arc::new(Barrier::new(2));
+    let mut writers = Vec::new();
+    let (tx, rx) = mpsc::channel();
+    for (w, (mut first, mut second)) in [(a.clone(), b.clone()), (b.clone(), a.clone())]
+        .into_iter()
+        .enumerate()
+    {
+        let (cs, barrier, tx) = (cs.clone(), both_hold_one.clone(), tx.clone());
+        writers.push(std::thread::spawn(move || {
+            let stamp = [w as u8 + 1; 8];
+            let txn = cs.begin();
+            txn.replace(&mut first, 0, &stamp).unwrap();
+            barrier.wait();
+            let outcome = match txn.replace(&mut second, 0, &stamp) {
+                Ok(()) => txn.commit().map(|()| w),
+                Err(e) => {
+                    drop(txn); // aborts, releasing its lock
+                    Err(e)
+                }
+            };
+            tx.send(outcome).unwrap();
+        }));
+    }
+    let outcomes: Vec<_> = (0..2)
+        .map(|_| {
+            rx.recv_timeout(Duration::from_secs(60))
+                .expect("the AB/BA schedule hung")
+        })
+        .collect();
+    for w in writers {
+        w.join().unwrap();
+    }
+    let winners: Vec<usize> = outcomes
+        .iter()
+        .filter_map(|o| o.as_ref().ok())
+        .copied()
+        .collect();
+    let deadlocks = outcomes
+        .iter()
+        .filter(|o| matches!(o, Err(Error::Deadlock { .. })))
+        .count();
+    assert_eq!((winners.len(), deadlocks), (1, 1), "{outcomes:?}");
+
+    // Only the winner's bytes are committed, in both objects.
+    let stamp = [winners[0] as u8 + 1; 8];
+    let snap = cs.snapshot();
+    for id in [a.id(), b.id()] {
+        let bytes = snap.read_all(id).unwrap();
+        assert_eq!(&bytes[..8], &stamp, "object {id}");
+        assert_eq!(bytes[8..], pattern(4_000)[8..], "object {id}");
+    }
+    let named = [a.id(), b.id()].map(|id| snap.object(id).unwrap());
+    drop(snap);
+    check_clean(cs, &named);
+}
+
+/// A durable in-memory store: its commits publish the roots that a
+/// writer rebases on once it holds the object lock.
+fn durable_store() -> ObjectStore {
+    let vol = MemVolume::with_profile(1024, 2 * 4_001 + 62, DiskProfile::FREE).shared();
+    ObjectStore::create_durable(vol, 2, 4_000, StoreConfig::default(), 62).unwrap()
+}
+
+/// `eos check` over the unwrapped store, naming `objects`.
+fn check_clean(cs: ConcurrentStore, objects: &[LargeObject]) {
+    let Ok(store) = cs.try_into_inner() else {
+        panic!("a ConcurrentStore handle outlived the test");
+    };
+    let named: Vec<(String, LargeObject)> = objects
+        .iter()
+        .map(|o| (format!("obj-{}", o.id()), o.clone()))
+        .collect();
+    let report = eos_check::check_store(&store, &named, None);
+    assert!(report.is_clean(), "{}", report.render_table());
 }
 
 /// Readers during open writer transactions (§4.5 deferred deallocation).

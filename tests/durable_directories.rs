@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 
-use eos::core::{ConcurrentStore, LargeObject, ObjectStore, StoreConfig};
+use eos::core::{ConcurrentStore, Error, LargeObject, ObjectStore, StoreConfig};
 use eos::obs::Metrics;
 use eos::pager::{DiskProfile, Entry, FaultVolume, MemVolume, Plan, SharedVolume};
 
@@ -91,8 +91,8 @@ fn volatile_store_writes_one_directory_page_per_allocation_and_free() {
 
 /// A durable store writes no directory page between format and the
 /// next recovery; the raw directories it leaves are stale but
-/// coherent, and recovery rebuilds them with one write per space after
-/// the reformat.
+/// coherent, and recovery rebuilds them in memory and writes each
+/// space once, at the end.
 #[test]
 fn durable_store_writes_no_directory_page_outside_format_and_recovery() {
     let inner: SharedVolume =
@@ -140,8 +140,8 @@ fn durable_store_writes_no_directory_page_outside_format_and_recovery() {
     .unwrap();
     assert_eq!(
         dir_writes(&reopen.take_journal()),
-        2 * SPACES as u64,
-        "recovery writes each directory at its reformat and after its rebuild"
+        SPACES as u64,
+        "recovery writes each directory once, after its rebuild"
     );
     let recovered: BTreeMap<u64, Vec<u8>> = report
         .objects
@@ -160,4 +160,36 @@ fn durable_store_writes_no_directory_page_outside_format_and_recovery() {
         .collect();
     let check = eos_check::check_store(&store, &named, None);
     assert!(check.is_clean(), "{}", check.render_table());
+}
+
+/// The volatile `open` reads the directory pages back as they are, and
+/// on a durable volume those are only as fresh as the last recovery: a
+/// reopened store would hand out pages live objects own. So `open`
+/// refuses a volume with a log region; `open_durable` is its way in.
+#[test]
+fn volatile_open_refuses_a_volume_with_a_log() {
+    let volume = MemVolume::with_profile(PAGE, VOLUME_PAGES, DiskProfile::FREE).shared();
+    let config = StoreConfig::default();
+    let mut store =
+        ObjectStore::create_durable(volume.clone(), SPACES, PPS, config, WAL_PAGES).unwrap();
+    let obj = store.create_with(&pattern(1, 50_000), None).unwrap();
+    drop(store);
+
+    match ObjectStore::open(volume.clone(), SPACES, PPS, config, obj.id() + 1) {
+        Err(Error::Unsupported { op: "open", .. }) => {}
+        Err(e) => panic!("refused for the wrong reason: {e}"),
+        Ok(mut store) => {
+            let other = store.create_with(&pattern(2, 50_000), None).unwrap();
+            let named = [("obj".to_string(), obj), ("other".to_string(), other)];
+            let report = eos_check::check_store(&store, &named, None);
+            panic!("open accepted a durable volume:\n{}", report.render_table());
+        }
+    }
+    let (store, report) =
+        ObjectStore::open_durable(volume, SPACES, PPS, config, WAL_PAGES).unwrap();
+    assert_eq!(report.objects.len(), 1);
+    assert_eq!(
+        store.read_all(&report.objects[0]).unwrap(),
+        pattern(1, 50_000)
+    );
 }

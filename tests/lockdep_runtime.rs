@@ -86,7 +86,7 @@ fn volume_io_under_allowed_class_is_silent() {
 }
 
 /// The real front-end, driven hard enough to exercise the store latch,
-/// the group-commit mutex, the range-lock table, and the pager volume
+/// the group-commit mutex, the object-lock table, and the pager volume
 /// lock on several threads at once. The witness observing an inversion
 /// anywhere in that stack fails this test with the two stacks above —
 /// silence is the assertion.

@@ -8,7 +8,7 @@
 //! 1. A stalled reader parks every superseded page: writers churn, the
 //!    reader's view stays byte-identical, nothing is reclaimed until it
 //!    drops — and then everything is.
-//! 2. Readers acquire **zero** range locks: the `locks.acquired`
+//! 2. Readers acquire **zero** object locks: the `locks.acquired`
 //!    counter is flat across a read-only phase.
 //! 3. A snapshot is one frozen epoch: later commits (including objects
 //!    created after the pin) are invisible to it, while fresh reads see
@@ -165,7 +165,7 @@ fn stalled_reader_parks_superseded_pages_until_it_drops() {
     check_clean(cs, &named);
 }
 
-/// Satellite: the read path takes no range locks. After a write phase
+/// Satellite: the read path takes no object locks. After a write phase
 /// (which does lock), a read-only phase of `Txn::read` and snapshot
 /// reads must leave `locks.acquired` exactly where it was.
 #[test]
@@ -220,7 +220,6 @@ fn readers_acquire_zero_range_locks() {
         "the read-only phase moved the lock-grant counter"
     );
     assert_eq!(snap.counter("locks.conflicts").unwrap_or(0), 0);
-    assert_eq!(cs.locks().held_count(shared.id()), 0);
     // Every read (implicit or snapshot) pinned an epoch.
     assert!(snap.counter("mvcc.snapshots").unwrap_or(0) >= 4 * 31);
 
